@@ -17,7 +17,6 @@ import math
 import os
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -149,13 +148,15 @@ def dump_config(cfg: ScenarioConfig) -> str:
 def lasso_lambda_rule(snr_db: float, factor: float = 0.35):
     """Penalty rule: factor times the per-sample noise variance implied by the SNR.
 
-    A hand-tuned default.  Note it is not scale invariant (the penalty tracks
-    the variance while a denoising penalty must scale with the noise standard
-    deviation), so it is only appropriate at the signal scale it was tuned
-    for; see :func:`lasso_lambda_universal` for a scale-free alternative.  On
-    the 1D reference instance (three unit sources, 16 sensors, rho at the
-    midpoint of its bounds, 40 dB) it gives 4.7e-6 where the universal rule
-    gives 7.1e-3, and the LASSO minimizer at that penalty fits the noise.
+    A hand-tuned rule, chosen by ``"noise-variance"``; a noisy config that
+    names no rule gets ``"universal"``.  Note it is not scale invariant (the
+    penalty tracks the variance while a denoising penalty must scale with the
+    noise standard deviation), so it is only appropriate at the signal scale
+    it was tuned for; see :func:`lasso_lambda_universal` for a scale-free
+    alternative.  On the 1D reference instance (three unit sources, 16
+    sensors, rho at the midpoint of its bounds, 40 dB) it gives 4.7e-6 where
+    the universal rule gives 7.1e-3, and the LASSO minimizer at that penalty
+    fits the noise.
     """
 
     def rule(b: np.ndarray) -> float:
@@ -379,7 +380,7 @@ def _run_refinement_method(cfg, truth, op, b) -> tuple[SparseMeasure, RecoveryRe
         **overrides,
     )
     if noisy and (rcfg.lasso_lambda is None or isinstance(rcfg.lasso_lambda, str)):
-        kind = rcfg.lasso_lambda or "noise-variance"
+        kind = rcfg.lasso_lambda or "universal"
         if kind == "noise-variance":
             rcfg.lasso_lambda = lasso_lambda_rule(cfg.snr_db)
         elif kind == "universal":
@@ -584,15 +585,12 @@ def emit_results(artifacts: RunArtifacts, out_dir: str, cfg: ScenarioConfig | No
     return paths
 
 
-def run_sweep(configs: list[ScenarioConfig], out_dir: str | None = None, max_workers: int | None = None) -> list[RunArtifacts]:
-    """Run independent scenario instances concurrently; one output dir each."""
-    def one(cfg: ScenarioConfig) -> RunArtifacts:
+def run_sweep(configs: list[ScenarioConfig], out_dir: str | None = None) -> list[RunArtifacts]:
+    """Run independent scenario instances one after another; one output dir each."""
+    arts = []
+    for cfg in configs:
         art = run_scenario(cfg)
         if out_dir is not None:
             emit_results(art, os.path.join(out_dir, cfg.name), cfg)
-        return art
-
-    if len(configs) == 1:
-        return [one(configs[0])]
-    with ThreadPoolExecutor(max_workers=max_workers or min(8, os.cpu_count() or 1)) as pool:
-        return list(pool.map(one, configs))
+        arts.append(art)
+    return arts

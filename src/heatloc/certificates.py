@@ -10,7 +10,9 @@ decays like one over the grid half-density.
 With such a certificate in hand, the three soft-recovery conditions (anchor
 value at least 1, point bound sigma, off-support bound 1 - tau) are checked
 on a dense evaluation mesh, and the resulting localization radii for the
-noiseless and noisy programs are evaluated.
+noiseless and noisy programs are evaluated.  The noisy conclusion is also
+checked on a finite grid, by solving the TV-ball program
+min |A x - b| s.t. |x|_1 <= rho exactly as a point of the LASSO path.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .operators import (
     MeasurementOperator,
     SampleSet,
 )
-from .solvers import operator_norm_estimate
+from .solvers import _lasso_path
 
 __all__ = [
     "CertConfig",
@@ -44,7 +46,6 @@ __all__ = [
     "noisy_recovery_radius",
     "verify_soft_stable_inequality",
     "smallest_feasible_m",
-    "project_l1_ball",
 ]
 
 _NORM_CACHE: dict[tuple[int, int], float] = {}
@@ -485,55 +486,18 @@ def noisy_recovery_radius(
     return math.sqrt(4.0 * lam * math.log(1.0 / min(level, 1.0)))
 
 
-def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection onto the l1 ball of the given radius."""
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
-    v = np.asarray(v, dtype=float)
-    if np.sum(np.abs(v)) <= radius:
-        return v.copy()
-    a = np.sort(np.abs(v))[::-1]
-    cum = np.cumsum(a)
-    k = np.arange(1, a.size + 1)
-    ok = a - (cum - radius) / k > 0
-    k_star = int(np.max(np.nonzero(ok)[0])) + 1
-    theta = (cum[k_star - 1] - radius) / k_star
-    return np.sign(v) * np.maximum(np.abs(v) - theta, 0.0)
-
-
 def _l1_ball_least_squares(
-    E: np.ndarray, b: np.ndarray, radius: float, max_iters: int = 200_000, tol: float = 1e-9
+    E: np.ndarray, b: np.ndarray, radius: float, max_iters: int = 200_000
 ) -> tuple[np.ndarray, bool]:
-    """min |E x - b|_2 s.t. |x|_1 <= radius, by accelerated projected gradient.
+    """min |E x - b|_2 s.t. |x|_1 <= radius, exactly, as a point of the LASSO path.
 
-    Convergence is declared on a windowed relative-objective stall; the
-    highly coherent dictionaries this is used on have nearly flat optimal
-    faces along which mass keeps sloshing at machine level long after the
-    objective and the support have stabilized.
+    The minimizer is the LASSO solution at the penalty where its l1 norm
+    reaches ``radius``; when the penalty reaches zero first, the constraint
+    is inactive and the end of the path is the minimizer.  ``max_iters``
+    caps the path steps; the flag is False only when that cap is hit.
     """
-    L = operator_norm_estimate(E)
-    step = 1.0 / (1.05 * L * L)
-    x = np.zeros(E.shape[1])
-    y = x.copy()
-    t_k = 1.0
-    prev_obj = math.inf
-    for it in range(max_iters):
-        grad = E.T @ (E @ y - b)
-        x_new = project_l1_ball(y - step * grad, radius)
-        obj_new = float(np.sum((E @ x_new - b) ** 2))
-        if obj_new > float(np.sum((E @ x - b) ** 2)):
-            # restart the momentum when it overshoots
-            t_k = 1.0
-            y = x.copy()
-            continue
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_k * t_k))
-        y = x_new + ((t_k - 1.0) / t_next) * (x_new - x)
-        x, t_k = x_new, t_next
-        if (it + 1) % 500 == 0:
-            if abs(prev_obj - obj_new) <= tol * max(1.0, obj_new):
-                return x, True
-            prev_obj = obj_new
-    return x, False
+    x, _, _, solved = _lasso_path(E, b, 0.0, radius, max_iters)
+    return x, solved
 
 
 def verify_soft_stable_inequality(
@@ -548,10 +512,12 @@ def verify_soft_stable_inequality(
 ) -> bool | None:
     """Check the noisy soft-recovery conclusion on a finite grid instance.
 
-    Solves min |A x - b| subject to |x|_1 <= rho, and tests whether some
-    support atom x_j of the minimizer satisfies
+    Solves min |A x - b| subject to |x|_1 <= rho exactly, by following the
+    LASSO path until |x|_1 reaches rho, and tests whether some support atom
+    x_j of the minimizer satisfies
     bump(x_j - p0) >= (rho*tau - 2*|lambda|_2*eps + 1 - rho) / (rho*sigma).
-    Returns None when the inner solve does not converge.
+    ``max_iters`` caps the path steps; returns None when the cap is hit
+    before the path reaches the ball's boundary or its end.
     """
     if rho < 1.0:
         raise ValueError("rho must be >= 1")

@@ -10,6 +10,9 @@
   solved exactly by following its piecewise-linear solution path in lam
   (an active-set homotopy; every step is a linear solve of the size of the
   active set, which in general position is at most the number of rows of A).
+  The same path follower also stops where |x|_1 reaches a radius, which
+  solves the l1-ball least squares  min |A x - b|  s.t.  |x|_1 <= rho
+  used by the certificate lab's noisy check.
 
 Outcomes carry the primal iterate, the dual vector in the convention above,
 and certified KKT residuals including a duality gap evaluated at a
@@ -193,40 +196,36 @@ def _gram_solve(sub: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.lstsq(gram, rhs, rcond=None)[0]
 
 
-def solve_lasso(A, b, lam: float, cfg: SolverConfig | None = None, x0=None, dual0=None) -> SolveOutcome:
-    """LASSO solve min 0.5*|A x - b|^2 + lam*|x|_1 with dual p = (b - A x)/lam.
+def _lasso_path(mat: np.ndarray, b: np.ndarray, lam: float, radius: float, max_steps: int):
+    """Follow the LASSO solution path from ``max|A^T b|`` down to penalty ``lam``.
 
     Exact active-set homotopy (Osborne, Presnell & Turlach 2000; the LASSO
-    variant of LARS, Efron et al. 2004): the solution path is piecewise
-    linear in the penalty, so it is followed from ``max|A^T b|``, where the
-    solution is zero, down to ``lam``.  Each step moves the penalty to the
-    next breakpoint, where a column joins the active set or an active
-    coefficient crosses zero and leaves it; in general position the active
-    set never exceeds the rank of A, so every step is a small linear solve.  ``cfg.max_iters``
-    caps the number of path steps; a run that hits the cap reports
-    ``converged=False`` with the path point it reached.  The warm starts
-    ``x0`` and ``dual0`` are accepted for interface compatibility and
-    unused, as the path always starts at zero.
+    variant of LARS, Efron et al. 2004): the solution is piecewise linear in
+    the penalty and zero above ``max|A^T b|``.  Each step moves the penalty to
+    the next breakpoint, where a column joins the active set or an active
+    coefficient crosses zero and leaves it; in general position the active set
+    never exceeds the rank of A, so every step is a small linear solve.
 
-    The reported dual vector solves min |b/lam - p| s.t. |A^T p|_inf <= 1,
-    and the duality gap is certified at a feasibility-rescaled copy of it.
+    The path also stops where |x|_1, which never decreases along it, reaches
+    ``radius``: inside the last linear segment |x|_1 moves at the rate
+    sum(signs * w), so that point is hit exactly.  A penalty below
+    ``_TIE_EPS * max|A^T b|`` counts as the end of the path: once the active
+    columns span the range of A, every correlation ties at zero penalty and
+    rounding alone picks the breakpoints.  Returns ``(x, active, steps,
+    done)``: the path point, its active columns, the steps taken, and whether
+    a stop was reached within ``max_steps``.
     """
-    if lam <= 0:
-        raise ValueError(f"lasso penalty must be positive, got {lam}")
-    cfg = cfg or SolverConfig()
-    mat = _entries(A)
-    b = np.asarray(b, dtype=float)
     P = mat.shape[1]
-
     x = np.zeros(P)
     corr = mat.T @ b
     level = float(np.max(np.abs(corr))) if P else 0.0  # current penalty on the path
+    lam = max(lam, _TIE_EPS * level)
     active: list[int] = []
     banned = -1  # a column that just left may not re-enter at the same breakpoint
     if level > lam:
         active.append(int(np.argmax(np.abs(corr))))
     steps = 0
-    while level > lam and steps < cfg.max_iters:
+    while level > lam and steps < max_steps:
         steps += 1
         sub = mat[:, active]
         signs = np.sign(corr[active])
@@ -254,6 +253,10 @@ def solve_lasso(A, b, lam: float, cfg: SolverConfig | None = None, x0=None, dual
         if np.min(cross) < step:
             leave = int(np.argmin(cross))
             step, join = float(cross[leave]), -1
+        l1, growth = float(signs @ x[active]), float(np.sum(rate))
+        if growth > 0.0 and l1 + step * growth >= radius:
+            x[active] += (radius - l1) / growth * w
+            return x, active, steps, True
         x[active] += step * w
         level = lam if join < 0 and leave < 0 else level - step
         banned = -1
@@ -263,7 +266,30 @@ def solve_lasso(A, b, lam: float, cfg: SolverConfig | None = None, x0=None, dual
         elif join >= 0:
             active.append(join)
         corr = mat.T @ (b - mat @ x)
-    converged_path = level <= lam
+    return x, active, steps, level <= lam
+
+
+def solve_lasso(A, b, lam: float, cfg: SolverConfig | None = None, x0=None, dual0=None) -> SolveOutcome:
+    """LASSO solve min 0.5*|A x - b|^2 + lam*|x|_1 with dual p = (b - A x)/lam.
+
+    The solution path is followed exactly from ``max|A^T b|``, where the
+    solution is zero, down to ``lam`` (see :func:`_lasso_path`).
+    ``cfg.max_iters`` caps the number of path steps; a run that hits the cap
+    reports ``converged=False`` with the path point it reached.  The warm
+    starts ``x0`` and ``dual0`` are accepted for interface compatibility and
+    unused, as the path always starts at zero.
+
+    The reported dual vector solves min |b/lam - p| s.t. |A^T p|_inf <= 1,
+    and the duality gap is certified at a feasibility-rescaled copy of it.
+    """
+    if lam <= 0:
+        raise ValueError(f"lasso penalty must be positive, got {lam}")
+    cfg = cfg or SolverConfig()
+    mat = _entries(A)
+    b = np.asarray(b, dtype=float)
+    P = mat.shape[1]
+
+    x, active, steps, converged_path = _lasso_path(mat, b, lam, math.inf, cfg.max_iters)
     if converged_path and active:
         # the last breakpoint lands on lam: re-solve the stationarity system
         # there to clear the rounding the path updates accumulated

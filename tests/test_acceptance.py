@@ -394,21 +394,21 @@ def test_theory_practice_consistency():
         grid = np.linspace(-1, 1, 257).reshape(-1, 1)
         A = build_dictionary(op, grid)
         x, solved = _l1_ball_least_squares(A.entries, b_noisy, rho)
-        if solved:
-            supp = np.abs(x) > 1e-6 * np.max(np.abs(x))
-            support_pos = grid[supp].ravel()
-            for i0, rep in enumerate(reports):
-                if not rep.feasible:
-                    continue
-                try:
-                    radius = noisy_recovery_radius(
-                        rep.tau, rep.sigma, lam, rep.weight_norm, eps, rho
-                    )
-                except ValueError:
-                    continue  # vacuous bound
-                dist = float(np.min(np.abs(support_pos - mu.positions[i0, 0])))
-                checks.append(dist <= radius)
-                details.append(f"s={mu.n_atoms} i0={i0} noisy d={dist:.4f} r={radius:.3f}")
+        assert solved, f"TV-ball solve hit its step cap (s={mu.n_atoms})"
+        supp = np.abs(x) > 1e-6 * np.max(np.abs(x))
+        support_pos = grid[supp].ravel()
+        for i0, rep in enumerate(reports):
+            if not rep.feasible:
+                continue
+            try:
+                radius = noisy_recovery_radius(
+                    rep.tau, rep.sigma, lam, rep.weight_norm, eps, rho
+                )
+            except ValueError:
+                continue  # vacuous bound
+            dist = float(np.min(np.abs(support_pos - mu.positions[i0, 0])))
+            checks.append(dist <= radius)
+            details.append(f"s={mu.n_atoms} i0={i0} noisy d={dist:.4f} r={radius:.3f}")
     ok = len(checks) > 0 and all(checks)
     assert report(
         "theory-practice consistency",

@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from heatloc import bench
 from heatloc.bench import (
     ConfigError,
     ScenarioConfig,
     build_truth,
     dump_config,
     emit_results,
+    lasso_lambda_universal,
     load_config,
     match_sources,
     run_scenario,
@@ -18,6 +20,7 @@ from heatloc.bench import (
     synthesize,
 )
 from heatloc.field import SparseMeasure
+from heatloc.refinement import CandidateGrid, RefinementConfig
 
 
 def small_scenario(**overrides) -> ScenarioConfig:
@@ -230,12 +233,32 @@ class TestRunScenario:
         assert a1.record.to_dict() == a2.record.to_dict()
         assert a1.record.truth_positions != a3.record.truth_positions
 
-    def test_sweep_runs_concurrently(self, tmp_path):
+    def test_sweep_runs_every_scenario(self, tmp_path):
         cfgs = [small_scenario(name=f"s{i}", snr_db=30.0, noise_seed=i) for i in range(3)]
         arts = run_sweep(cfgs, out_dir=str(tmp_path))
         assert len(arts) == 3
         for i in range(3):
             assert (tmp_path / f"s{i}" / "record.json").exists()
+
+    def test_noisy_config_without_penalty_uses_universal_rule(self, monkeypatch):
+        cfg = small_scenario(snr_db=30.0)
+        truth, op, b = synthesize(cfg)
+        seen = {}
+
+        class Resolved(Exception):
+            pass
+
+        def capture(op_, b_, rcfg, noisy):
+            seen["lam"] = rcfg.lasso_lambda(b_)
+            raise Resolved
+
+        monkeypatch.setattr(bench, "run_refinement", capture)
+        with pytest.raises(Resolved):
+            bench._run_refinement_method(cfg, truth, op, b)
+        grid0 = CandidateGrid.uniform(
+            cfg.domain_lo, cfg.domain_hi, RefinementConfig.initial_points_per_dim
+        )
+        assert seen["lam"] == lasso_lambda_universal(cfg.snr_db, op, grid0.points)(b)
 
 
 class TestSynthesize:

@@ -5,12 +5,12 @@ import pytest
 
 from heatloc.certificates import (
     CertConfig,
+    _l1_ball_least_squares,
     build_certificate_g,
     calibrated_certificate,
     jackson_coefficients,
     jackson_kernel,
     noisy_recovery_radius,
-    project_l1_ball,
     recovery_radius,
     smallest_feasible_m,
     verify_soft_conditions,
@@ -18,6 +18,8 @@ from heatloc.certificates import (
 )
 from heatloc.field import SparseMeasure, add_noise
 from heatloc.operators import build_dictionary, measure
+
+from oracles import lasso_coordinate_descent, lasso_objective, min_l1_equality_lp
 
 
 class TestJacksonKernel:
@@ -244,21 +246,45 @@ class TestRecoveryRadii:
             assert level >= floor
 
 
-class TestProjectL1Ball:
-    def test_inside_ball_unchanged(self):
-        v = np.array([0.2, -0.3, 0.1])
-        np.testing.assert_array_equal(project_l1_ball(v, 1.0), v)
+class TestL1BallLeastSquares:
+    """min |A x - b| s.t. |x|_1 <= rho, stopped on the LASSO path at |x|_1 = rho."""
 
-    def test_projection_properties(self):
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            v = rng.standard_normal(20) * 3
-            r = float(rng.uniform(0.1, 3.0))
-            p = project_l1_ball(v, r)
-            assert np.sum(np.abs(p)) <= r + 1e-10
-            # projection is no farther than any other feasible point
-            w = project_l1_ball(rng.standard_normal(20), r)
-            assert np.linalg.norm(v - p) <= np.linalg.norm(v - w) + 1e-10
+    def test_binding_radius_matches_lasso_oracle(self):
+        for trial in range(20):
+            rng = np.random.default_rng(300 + trial)
+            A = rng.standard_normal((12, 40))
+            b = rng.standard_normal(12)
+            # below the least l1 norm of an interpolant, the ball binds
+            rho = rng.uniform(0.2, 0.9) * float(np.sum(np.abs(min_l1_equality_lp(A, b))))
+            x, solved = _l1_ball_least_squares(A, b, rho)
+            assert solved
+            assert abs(float(np.sum(np.abs(x))) - rho) <= 1e-9
+            # x is the LASSO minimizer at the penalty its residual correlations set
+            lam_star = float(np.max(np.abs(A.T @ (b - A @ x))))
+            xcd = lasso_coordinate_descent(A, b, lam_star)
+            f_path = lasso_objective(A, b, lam_star, x)
+            f_cd = lasso_objective(A, b, lam_star, xcd)
+            assert abs(f_path - f_cd) / f_cd < 1e-7
+            supp = np.abs(x) > 1e-6 * np.max(np.abs(x))
+            np.testing.assert_array_equal(np.sign(x[supp]), np.sign(xcd[supp]))
+
+    def test_inactive_radius_returns_path_end(self):
+        rng = np.random.default_rng(320)
+        A = rng.standard_normal((12, 40))
+        b = rng.standard_normal(12)
+        rho = 2.0 * float(np.sum(np.abs(min_l1_equality_lp(A, b))))
+        x, solved = _l1_ball_least_squares(A, b, rho)
+        assert solved
+        assert float(np.sum(np.abs(x))) < rho
+        assert np.linalg.norm(A @ x - b) <= 1e-8 * np.linalg.norm(b)
+
+    def test_step_cap_reports_unsolved(self):
+        rng = np.random.default_rng(321)
+        A = rng.standard_normal((12, 40))
+        b = rng.standard_normal(12)
+        rho = 0.5 * float(np.sum(np.abs(min_l1_equality_lp(A, b))))
+        _, solved = _l1_ball_least_squares(A, b, rho, max_iters=2)
+        assert not solved
 
 
 class TestSoftStableInequality:
@@ -294,3 +320,8 @@ class TestSoftStableInequality:
         lam = 1 / 16
         A, b, report, eps = self._instance(lam, 0.0)
         assert verify_soft_stable_inequality(A, b, report, lam, rho=1.0, eps=100.0) is True
+
+    def test_step_cap_gives_no_verdict(self):
+        lam = 1 / 16
+        A, b, report, eps = self._instance(lam, 1e-3)
+        assert verify_soft_stable_inequality(A, b, report, lam, rho=1.05, eps=eps, max_iters=2) is None
