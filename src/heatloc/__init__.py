@@ -62,7 +62,6 @@ from .solvers import (
     KktResiduals,
     SolveOutcome,
     SolverConfig,
-    operator_norm_estimate,
     solve_l1_equality,
     solve_lasso,
 )

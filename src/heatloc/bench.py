@@ -54,7 +54,7 @@ __all__ = [
     "lasso_lambda_universal",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class ConfigError(ValueError):
@@ -331,7 +331,8 @@ class MetricsRecord:
     max_position_error: float
     field_rmse: float
     rounds: int
-    solver_converged: bool
+    refinement_stopped: bool
+    inner_solves_converged: bool
     kkt_feasibility: float
     kkt_certificate_bound: float
     kkt_support_alignment: float
@@ -373,12 +374,16 @@ def _run_refinement_method(cfg, truth, op, b) -> tuple[SparseMeasure, RecoveryRe
     noisy = cfg.snr_db is not None and not math.isinf(cfg.snr_db)
     overrides = dict(cfg.refinement)
     solver_overrides = overrides.pop("solver", None)
-    rcfg = RefinementConfig(
-        lo=np.asarray(cfg.domain_lo, dtype=float),
-        hi=np.asarray(cfg.domain_hi, dtype=float),
-        k_sources=overrides.pop("k_sources", cfg.s),
-        **overrides,
-    )
+    try:
+        rcfg = RefinementConfig(
+            lo=np.asarray(cfg.domain_lo, dtype=float),
+            hi=np.asarray(cfg.domain_hi, dtype=float),
+            k_sources=overrides.pop("k_sources", cfg.s),
+            **overrides,
+        )
+        solver = SolverConfig(**solver_overrides) if solver_overrides else None
+    except TypeError as exc:  # a key the config classes do not have
+        raise ConfigError(f"refinement: {exc}") from exc
     if noisy and (rcfg.lasso_lambda is None or isinstance(rcfg.lasso_lambda, str)):
         kind = rcfg.lasso_lambda or "universal"
         if kind == "noise-variance":
@@ -390,8 +395,7 @@ def _run_refinement_method(cfg, truth, op, b) -> tuple[SparseMeasure, RecoveryRe
             rcfg.lasso_lambda = lasso_lambda_universal(cfg.snr_db, op, grid0.points)
         else:
             raise ConfigError(f"refinement.lasso_lambda: unknown rule {kind!r}")
-    if solver_overrides:
-        rcfg.solver = SolverConfig(**solver_overrides)
+    rcfg.solver = solver
     result = run_refinement(op, b, rcfg, noisy)
     return result.estimate, result
 
@@ -436,13 +440,13 @@ def run_scenario(cfg: ScenarioConfig, seed_override: int | None = None) -> RunAr
                 np.real(result.certificate(result.final_grid)),
             )
         ]
-        solver_ok = result.converged
+        stopped, inner_ok = result.converged, result.solver_all_converged
         cert_held = kkt.certificate_bound <= 1e-6
         rounds = result.rounds
     else:
         kkt = None
         cert_rows = []
-        solver_ok = True
+        stopped, inner_ok = True, True
         cert_held = True
         rounds = 0
 
@@ -465,7 +469,8 @@ def run_scenario(cfg: ScenarioConfig, seed_override: int | None = None) -> RunAr
         max_position_error=float(np.max(match.position_errors)) if match.position_errors else math.inf,
         field_rmse=_field_rmse(truth, estimate, cfg, tau),
         rounds=rounds,
-        solver_converged=solver_ok,
+        refinement_stopped=stopped,
+        inner_solves_converged=inner_ok,
         kkt_feasibility=kkt.feasibility if kkt else math.nan,
         kkt_certificate_bound=kkt.certificate_bound if kkt else math.nan,
         kkt_support_alignment=kkt.support_alignment if kkt else math.nan,
@@ -484,7 +489,7 @@ def run_scenario(cfg: ScenarioConfig, seed_override: int | None = None) -> RunAr
         b=b,
         result=result,
         certificate_table=cert_rows,
-        exit_code=0 if solver_ok else 2,
+        exit_code=0 if stopped and inner_ok else 2,
     )
 
 

@@ -1,7 +1,8 @@
 """Command-line entry points: simulate, solve, certify, bench.
 
-Exit codes: 0 on success, 1 on configuration/validation errors, 2 when a
-solver failed to converge (best-effort results are still written).
+Exit codes: 0 on success, 1 on configuration/validation errors, 2 when the
+refinement stop rule did not fire or an inner solve did not converge
+(best-effort results are still written).
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def _cmd_solve(args) -> int:
         )
     if cfg.method == "refinement":
         estimate, result = bench._run_refinement_method(cfg, truth, op, b)
-        code = 0 if result.converged else 2
+        code = 0 if result.converged and result.solver_all_converged else 2
     else:
         estimate = bench._run_baseline_method(cfg, truth, op, b)
         code = 0

@@ -3,11 +3,11 @@
 One round = solve the discretized dual on the current candidate grid, keep
 the grid points where the certificate has near-unit modulus, and insert new
 candidates at half the local spacing around them.  After the loop the final
-certificate is condensed into source positions (in 1D its local maxima above
-the final threshold on a dense mesh, with maxima closer than one kernel width
-merged into amplitude-weighted centroids; in 2D thresholding + k-means +
-gradient ascent) and amplitudes are recovered by a pseudo-inverse on the final
-support.
+round is condensed into source positions (in 1D its primal coefficients:
+atoms closer than one kernel width are chained and each chain becomes its
+mass-weighted centroid; in 2D the certificate is thresholded, clustered by
+k-means and ascended by gradient steps) and amplitudes are recovered by a
+pseudo-inverse on the final support.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _KEY_DECIMALS = 9  # grid points closer than 1e-9 are considered identical
+_MIN_CHAIN_MASS = 1e-3  # 1D chains lighter than this share of |x|_1 are dropped
 
 
 def default_peak_threshold(k: int) -> float:
@@ -127,59 +128,30 @@ def refine_grid(grid: CandidateGrid, selected) -> CandidateGrid:
     return CandidateGrid(np.asarray(new_points), np.asarray(new_spacing), grid.lo, grid.hi)
 
 
-def select_peaks_1d(positions, values, threshold: float, cluster_gap: float) -> np.ndarray:
-    """Local maxima of |value| among the super-threshold certificate samples.
+def select_peaks_1d(positions, coefficients, width: float) -> np.ndarray:
+    """Source positions from 1D grid coefficients, one per chain of atoms.
 
-    Points with |value| >= threshold are sorted by position and split into
-    runs wherever consecutive points lie more than ``cluster_gap`` apart.
-    Within each run every local maximum of |value| is returned, so a run
-    holding several separated peaks yields all of them; a flat top (equal
-    neighbouring values) yields the centre of its extent.  Returns a (k, 1)
-    array in increasing position order.
+    The atoms (grid points with a nonzero coefficient) are sorted by position
+    and chained while consecutive ones lie closer than ``width``.  Each chain
+    is replaced by the centroid of its atoms weighted by their coefficient
+    magnitudes, and chains holding less than ``_MIN_CHAIN_MASS`` of the total
+    l1 mass are dropped.  Returns a (k, 1) array in increasing position order.
     """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
+    if width <= 0:
+        raise ValueError(f"width must be positive, got {width}")
     pos = np.asarray(positions, dtype=float).reshape(-1)
-    mag = np.abs(np.asarray(values)).reshape(-1)
-    mask = mag >= threshold
-    order = np.argsort(pos[mask], kind="stable")
-    pos, mag = pos[mask][order], mag[mask][order]
-    peaks = []
-    start = 0
-    for end in range(1, pos.size + 1):
-        if end < pos.size and pos[end] - pos[end - 1] <= cluster_gap:
-            continue
-        run_pos, run_mag = pos[start:end], mag[start:end]
-        # a peak is a maximal stretch of equal values above both neighbours
-        edges = np.flatnonzero(np.diff(run_mag)) + 1
-        lo, hi = np.r_[0, edges], np.r_[edges, run_mag.size] - 1
-        level = run_mag[lo]
-        top = (np.r_[-np.inf, level[:-1]] < level) & (level > np.r_[level[1:], -np.inf])
-        peaks.extend(0.5 * (run_pos[lo] + run_pos[hi])[top])
-        start = end
+    mass = np.abs(np.asarray(coefficients, dtype=float)).reshape(-1)
+    atoms = np.flatnonzero(mass)
+    order = atoms[np.argsort(pos[atoms], kind="stable")]
+    pos, mass = pos[order], mass[order]
+    breaks = np.flatnonzero(np.diff(pos) >= width) + 1
+    total = float(np.sum(mass))
+    peaks = [
+        float(m @ x) / float(np.sum(m))
+        for x, m in zip(np.split(pos, breaks), np.split(mass, breaks))
+        if x.size and np.sum(m) >= _MIN_CHAIN_MASS * total
+    ]
     return np.asarray(peaks, dtype=float).reshape(-1, 1)
-
-
-def _merge_close_peaks_1d(op: MeasurementOperator, peaks, b, width: float) -> np.ndarray:
-    """Merge 1D peaks closer than ``width`` into amplitude-weighted centroids.
-
-    Peaks are taken in increasing order and chained while consecutive ones
-    are closer than ``width``; each chain is replaced by the centroid of its
-    members weighted by the magnitudes of their pseudo-inverse amplitudes
-    (the plain mean when those all vanish).  Returns a (k, 1) array.
-    """
-    pts = np.sort(np.asarray(peaks, dtype=float).reshape(-1))
-    if pts.size < 2 or np.all(np.diff(pts) >= width):
-        return pts.reshape(-1, 1)
-    weights = np.abs(recover_amplitudes(op, pts.reshape(-1, 1), b).amplitudes)
-    breaks = np.flatnonzero(np.diff(pts) >= width) + 1
-    merged = []
-    for group_pts, group_w in zip(np.split(pts, breaks), np.split(weights, breaks)):
-        total = float(np.sum(group_w))
-        merged.append(
-            float(group_w @ group_pts) / total if total > 0.0 else float(np.mean(group_pts))
-        )
-    return np.asarray(merged).reshape(-1, 1)
 
 
 def _kmeans(points: np.ndarray, k: int, seed: int, iters: int = 100) -> np.ndarray:
@@ -302,9 +274,8 @@ class RefinementConfig:
     stop_tol: float | None = None          # default 1e-4 noiseless, 1e-6 noisy
     max_rounds: int = 12
     lasso_lambda: float | Callable[[np.ndarray], float] | None = None
-    final_threshold: float = 0.99
-    cluster_gap: float | None = None       # default 3x the extraction mesh step
-    extraction_mesh_points: int = 8192     # 1D final certificate scan resolution
+    final_threshold: float = 0.99          # 2D extraction threshold on |nu|
+    cluster_gap: float | None = None       # 2D dedup gap; default 3x the finest spacing
     k_sources: int | None = None           # 2D cluster count; None = auto
     grad_max_iters: int = 200
     grad_tol: float = 1e-10
@@ -335,8 +306,8 @@ class RecoveryResult:
     """Refinement output; ``converged`` means the round-level stopping rule fired.
 
     Inner-solver convergence per round is tracked in ``per_round``; a round
-    that exhausts its iteration budget is flagged there and the best iterate
-    is still used (``solver_all_converged`` aggregates the flags).
+    whose solve hits its step cap is flagged there and the path point it
+    reached is still used (``solver_all_converged`` aggregates the flags).
     """
 
     estimate: SparseMeasure
@@ -438,18 +409,9 @@ def run_refinement(op: MeasurementOperator, b, cfg: RefinementConfig, noisy: boo
     certificate = DualCertificate(op, outcome.dual)
 
     if op.dim == 1:
-        # scan the continuous certificate on a dense uniform mesh; its local
-        # maxima above the final threshold, with maxima closer than one
-        # kernel width merged, give sub-grid position estimates
-        mesh = np.linspace(
-            cfg.lo[0], cfg.hi[0], cfg.extraction_mesh_points, endpoint=False
-        )
-        step = mesh[1] - mesh[0]
-        gap = cfg.cluster_gap if cfg.cluster_gap is not None else 3.0 * step
-        nu_mesh = np.real(certificate(mesh.reshape(-1, 1)))
-        peaks = select_peaks_1d(mesh, nu_mesh, cfg.final_threshold, gap)
+        # the final round's coefficients, chained within one kernel width
         width = math.sqrt(float(np.min(op.samples.ts)))
-        support = _merge_close_peaks_1d(op, peaks, b, width)
+        support = select_peaks_1d(grid.points[:, 0], outcome.primal, width)
     else:
         nu = build_dictionary(op, grid).entries.T @ outcome.dual
         gap = cfg.cluster_gap if cfg.cluster_gap is not None else 3.0 * float(np.min(grid.spacing))

@@ -1,22 +1,27 @@
 """Solvers for the discretized sparse recovery problems.
 
+All of them run one exact path follower: the LASSO solution is piecewise
+linear in the penalty, and an active-set homotopy follows it from zero
+downward (every step is a linear solve of the size of the active set, which
+in general position is at most the number of rows of A).
+
+* unconstrained LASSO:        min 0.5*|A x - b|^2 + lam*|x|_1,
+  whose dual vector is read off as  p = (b - A x) / lam;
+  the path is followed down to lam.
 * equality-constrained l1:   min |x|_1  s.t.  A x = b,
   whose dual is               max <b, p>  s.t.  |A^T p|_inf <= 1,
-  solved by a first-order primal-dual saddle-point scheme (alternating a
-  proximal ascent in the dual and a proximal descent in the primal, with
-  over-relaxation);
-* unconstrained LASSO:        min 0.5*|A x - b|^2 + lam*|x|_1,
-  whose dual vector is read off as  p = (b - A x) / lam,
-  solved exactly by following its piecewise-linear solution path in lam
-  (an active-set homotopy; every step is a linear solve of the size of the
-  active set, which in general position is at most the number of rows of A).
-  The same path follower also stops where |x|_1 reaches a radius, which
-  solves the l1-ball least squares  min |A x - b|  s.t.  |x|_1 <= rho
-  used by the certificate lab's noisy check.
+  taken as the small-penalty limit of the LASSO: the path is followed down
+  to the scale-free penalty  1e-6 * max|A^T b|  and its LASSO dual, feasible
+  by construction, is reported.  Where the path's support interpolates b
+  exactly without opposing the path's signs, that interpolant is the
+  minimum-l1 solution and is returned as the primal.
+* l1-ball least squares:      min |A x - b|  s.t.  |x|_1 <= rho,
+  used by the certificate lab's noisy check: the same path stopped where
+  |x|_1 reaches rho.
 
-Outcomes carry the primal iterate, the dual vector in the convention above,
-and certified KKT residuals including a duality gap evaluated at a
-feasibility-rescaled dual point.
+Outcomes carry the primal, the dual vector in the convention above, and
+KKT residuals including a duality gap evaluated at a feasibility-rescaled
+dual point.
 """
 
 from __future__ import annotations
@@ -32,30 +37,24 @@ __all__ = [
     "SolveOutcome",
     "solve_l1_equality",
     "solve_lasso",
-    "operator_norm_estimate",
 ]
 
-_STEP_SAFETY = 1.02  # inflate the operator-norm estimate before setting step sizes
 _SUPPORT_EPS = 1e-6  # relative threshold defining the support for sign alignment
 _TIE_EPS = 1e-12  # homotopy steps below this fraction of the penalty count as ties
+_EQUALITY_PENALTY = 1e-6  # equality solves stop the path at this fraction of max|A^T b|
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    max_iters: int = 100_000
+    max_iters: int = 100_000  # caps path steps
     tol_primal: float = 1e-9
     tol_dual: float = 1e-9
-    step_ratio: float = 1.0
-    operator_norm_power_iters: int = 200
-    check_every: int = 50
 
     def __post_init__(self) -> None:
         if self.tol_primal <= 0 or self.tol_dual <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.step_ratio <= 0:
-            raise ValueError("step_ratio must be positive")
 
 
 @dataclass(frozen=True)
@@ -81,34 +80,6 @@ def _entries(A) -> np.ndarray:
     return np.asarray(getattr(A, "entries", A), dtype=float)
 
 
-def operator_norm_estimate(A, n_iters: int | None = None) -> float:
-    """Largest singular value of A, via power iteration on A^T A.
-
-    The starting vector is a fixed pseudo-random direction, so the estimate
-    is deterministic for a given matrix.
-    """
-    mat = _entries(A)
-    if not np.any(mat):
-        raise ValueError("operator norm of a zero matrix is not useful")
-    iters = 200 if n_iters is None else max(1, n_iters)
-    gen = np.random.Generator(np.random.Philox(key=np.uint64(0x9E3779B9)))
-    v = gen.standard_normal(mat.shape[1])
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(iters):
-        w = mat.T @ (mat @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            break
-        v = w / nw
-        est = math.sqrt(nw)
-    return float(est)
-
-
-def _soft_threshold(z: np.ndarray, thr: float) -> np.ndarray:
-    return np.sign(z) * np.maximum(np.abs(z) - thr, 0.0)
-
-
 def _support_alignment(x: np.ndarray, atp: np.ndarray) -> float:
     xmax = np.max(np.abs(x)) if x.size else 0.0
     if xmax == 0.0:
@@ -117,74 +88,6 @@ def _support_alignment(x: np.ndarray, atp: np.ndarray) -> float:
     if not np.any(supp):
         return 0.0
     return float(np.max(np.abs(np.sign(x[supp]) - atp[supp])))
-
-
-def _steps(mat: np.ndarray, cfg: SolverConfig) -> tuple[float, float]:
-    L = _STEP_SAFETY * operator_norm_estimate(mat, cfg.operator_norm_power_iters)
-    if L == 0.0:
-        L = 1.0
-    return cfg.step_ratio / L, 1.0 / (cfg.step_ratio * L)  # sigma, tau
-
-
-def solve_l1_equality(A, b, cfg: SolverConfig | None = None, x0=None, dual0=None) -> SolveOutcome:
-    """Minimum-l1 solution of A x = b together with a dual certificate vector.
-
-    Parameters
-    ----------
-    A : DictionaryMatrix or (d, P) array
-    b : (d,) array
-    cfg : SolverConfig
-    x0, dual0 : optional warm starts (primal coefficients / dual vector in the
-        max <b,p> convention).
-
-    Returns
-    -------
-    SolveOutcome with ``dual`` maximizing <b, p> subject to |A^T p|_inf <= 1.
-    Convergence requires small feasibility, dual-feasibility and duality-gap
-    residuals; sign alignment on the support is reported alongside.
-    """
-    cfg = cfg or SolverConfig()
-    mat = _entries(A)
-    b = np.asarray(b, dtype=float)
-    d, P = mat.shape
-    sigma, tau = _steps(mat, cfg)
-
-    x = np.zeros(P) if x0 is None else np.asarray(x0, dtype=float).copy()
-    q = np.zeros(d) if dual0 is None else -np.asarray(dual0, dtype=float)
-    xbar = x.copy()
-
-    bscale = max(1.0, float(np.linalg.norm(b)))
-    tol = max(cfg.tol_primal, cfg.tol_dual)
-    best = None
-
-    it = 0
-    while it < cfg.max_iters:
-        n_burst = min(cfg.check_every, cfg.max_iters - it)
-        for _ in range(n_burst):
-            q += sigma * (mat @ xbar - b)
-            x_new = _soft_threshold(x - tau * (mat.T @ q), tau)
-            xbar = 2.0 * x_new - x
-            x = x_new
-        it += n_burst
-
-        p = -q
-        atp = mat.T @ p
-        feas = float(np.linalg.norm(mat @ x - b))
-        inf_norm = float(np.max(np.abs(atp))) if P else 0.0
-        cert = max(0.0, inf_norm - 1.0)
-        p_feas = p / max(1.0, inf_norm)
-        obj = float(np.sum(np.abs(x)))
-        dual_obj = float(b @ p_feas)
-        gap = abs(obj - dual_obj)
-        align = _support_alignment(x, atp)
-        best = (x.copy(), p.copy(), feas, cert, align, gap, obj, dual_obj, it)
-        if (
-            feas <= cfg.tol_primal * bscale
-            and cert <= cfg.tol_dual
-            and gap <= tol * max(1.0, obj)
-        ):
-            return _outcome(best, converged=True)
-    return _outcome(best, converged=False)
 
 
 def _gram_solve(sub: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -269,15 +172,47 @@ def _lasso_path(mat: np.ndarray, b: np.ndarray, lam: float, radius: float, max_s
     return x, active, steps, level <= lam
 
 
-def solve_lasso(A, b, lam: float, cfg: SolverConfig | None = None, x0=None, dual0=None) -> SolveOutcome:
+def _lasso_point(mat: np.ndarray, b: np.ndarray, lam: float, max_steps: int):
+    """LASSO solution at penalty ``lam``: ``(x, active, steps, reached)``.
+
+    When the path reaches ``lam``, the stationarity system of the last
+    segment is re-solved there to clear the rounding the path updates
+    accumulated.
+    """
+    x, active, steps, reached = _lasso_path(mat, b, lam, math.inf, max_steps)
+    if reached and active:
+        sub = mat[:, active]
+        xs = _gram_solve(sub, sub.T @ b - lam * np.sign(x[active]))
+        if np.all(np.sign(xs) == np.sign(x[active])):
+            x[active] = xs
+    return x, active, steps, reached
+
+
+def _lasso_kkt(mat: np.ndarray, b: np.ndarray, lam: float, x: np.ndarray, cfg: SolverConfig):
+    """LASSO dual p = (b - A x)/lam with A^T p, max|A^T p|, and the KKT test.
+
+    The duality gap is certified at the feasibility-rescaled dual
+    p / max(1, max|A^T p|); returns ``(p, atp, inf_norm, obj, dual_obj, ok)``.
+    """
+    r = b - mat @ x
+    p = r / lam
+    atp = mat.T @ p
+    inf_norm = float(np.max(np.abs(atp))) if atp.size else 0.0
+    p_feas = p / max(1.0, inf_norm)
+    obj = 0.5 * float(r @ r) + lam * float(np.sum(np.abs(x)))
+    dual_obj = lam * float(b @ p_feas) - 0.5 * lam * lam * float(p_feas @ p_feas)
+    tol = max(cfg.tol_primal, cfg.tol_dual)
+    ok = inf_norm - 1.0 <= cfg.tol_dual and abs(obj - dual_obj) <= tol * max(1.0, obj)
+    return p, atp, inf_norm, obj, dual_obj, ok
+
+
+def solve_lasso(A, b, lam: float, cfg: SolverConfig | None = None) -> SolveOutcome:
     """LASSO solve min 0.5*|A x - b|^2 + lam*|x|_1 with dual p = (b - A x)/lam.
 
     The solution path is followed exactly from ``max|A^T b|``, where the
     solution is zero, down to ``lam`` (see :func:`_lasso_path`).
     ``cfg.max_iters`` caps the number of path steps; a run that hits the cap
-    reports ``converged=False`` with the path point it reached.  The warm
-    starts ``x0`` and ``dual0`` are accepted for interface compatibility and
-    unused, as the path always starts at zero.
+    reports ``converged=False`` with the path point it reached.
 
     The reported dual vector solves min |b/lam - p| s.t. |A^T p|_inf <= 1,
     and the duality gap is certified at a feasibility-rescaled copy of it.
@@ -287,31 +222,72 @@ def solve_lasso(A, b, lam: float, cfg: SolverConfig | None = None, x0=None, dual
     cfg = cfg or SolverConfig()
     mat = _entries(A)
     b = np.asarray(b, dtype=float)
-    P = mat.shape[1]
 
-    x, active, steps, converged_path = _lasso_path(mat, b, lam, math.inf, cfg.max_iters)
-    if converged_path and active:
-        # the last breakpoint lands on lam: re-solve the stationarity system
-        # there to clear the rounding the path updates accumulated
-        sub = mat[:, active]
-        xs = _gram_solve(sub, sub.T @ b - lam * np.sign(x[active]))
-        if np.all(np.sign(xs) == np.sign(x[active])):
-            x[active] = xs
-
-    r = b - mat @ x
-    p = r / lam
-    atp = mat.T @ p
+    x, _, steps, reached = _lasso_point(mat, b, lam, cfg.max_iters)
+    p, atp, inf_norm, obj, dual_obj, ok = _lasso_kkt(mat, b, lam, x, cfg)
     feas = float(np.linalg.norm(b - mat @ x - lam * p))  # definitional residual
-    inf_norm = float(np.max(np.abs(atp))) if P else 0.0
     cert = max(0.0, inf_norm - 1.0)
-    p_feas = p / max(1.0, inf_norm)
-    obj = 0.5 * float(r @ r) + lam * float(np.sum(np.abs(x)))
-    dual_obj = lam * float(b @ p_feas) - 0.5 * lam * lam * float(p_feas @ p_feas)
     gap = abs(obj - dual_obj)
-    align = _support_alignment(x, atp)
-    tol = max(cfg.tol_primal, cfg.tol_dual)
-    converged = converged_path and cert <= cfg.tol_dual and gap <= tol * max(1.0, obj)
-    state = (x, p, feas, cert, align, gap, obj, dual_obj, steps)
+    state = (x, p, feas, cert, _support_alignment(x, atp), gap, obj, dual_obj, steps)
+    return _outcome(state, converged=reached and ok)
+
+
+def solve_l1_equality(A, b, cfg: SolverConfig | None = None) -> SolveOutcome:
+    """Minimum-l1 solution of A x = b together with a dual certificate vector.
+
+    The LASSO path is followed down to the scale-free penalty
+    ``lam = 1e-6 * max|A^T b|``; ``cfg.max_iters`` caps its steps.  The dual
+    is the LASSO dual p = (b - A x_lam)/lam, which satisfies
+    |A^T p|_inf <= 1 up to rounding and approaches the minimal-norm
+    certificate as lam shrinks.  When the path's support S interpolates b,
+    i.e. A_S z = b holds to ``cfg.tol_primal`` and z puts no mass against
+    the signs of x_lam, then p certifies z and the primal is z, the
+    minimum-l1 interpolant; otherwise the primal is x_lam.
+
+    ``converged`` means the path reached lam within the step cap and the
+    LASSO KKT conditions hold there.  The residuals describe the equality
+    problem at the returned pair: feasibility |A x - b|, the dual bound
+    excess max|A^T p| - 1, sign alignment on the support, and the gap
+    between |x|_1 and <b, p> at the feasibility-rescaled dual.
+    """
+    cfg = cfg or SolverConfig()
+    mat = _entries(A)
+    b = np.asarray(b, dtype=float)
+    d, P = mat.shape
+    bscale = max(1.0, float(np.linalg.norm(b)))
+    level = float(np.max(np.abs(mat.T @ b))) if P else 0.0
+
+    if level == 0.0:
+        # b is orthogonal to the range of A: x = 0 is its least-squares fit
+        x, p, steps = np.zeros(P), np.zeros(d), 0
+        atp, inf_norm = np.zeros(P), 0.0
+        converged = float(np.linalg.norm(b)) <= cfg.tol_primal * bscale
+    else:
+        lam = _EQUALITY_PENALTY * level
+        x, active, steps, reached = _lasso_point(mat, b, lam, cfg.max_iters)
+        p, atp, inf_norm, _, _, ok = _lasso_kkt(mat, b, lam, x, cfg)
+        converged = reached and ok
+        if active:
+            # |z|_1 - <b, p> is twice the mass z puts against the path's
+            # signs (entries the path keeps at O(lam) may interpolate to 0)
+            sub = mat[:, active]
+            z = np.linalg.lstsq(sub, b, rcond=None)[0]
+            against = float(np.abs(z) @ (np.sign(z) != np.sign(x[active])))
+            tol = max(cfg.tol_primal, cfg.tol_dual)
+            if (
+                float(np.linalg.norm(sub @ z - b)) <= cfg.tol_primal * bscale
+                and 2.0 * against <= tol * max(1.0, float(np.sum(np.abs(z))))
+            ):
+                x = np.zeros(P)
+                x[active] = z
+
+    feas = float(np.linalg.norm(mat @ x - b))
+    obj = float(np.sum(np.abs(x)))
+    dual_obj = float(b @ p) / max(1.0, inf_norm)
+    state = (
+        x, p, feas, max(0.0, inf_norm - 1.0), _support_alignment(x, atp),
+        abs(obj - dual_obj), obj, dual_obj, steps,
+    )
     return _outcome(state, converged=converged)
 
 

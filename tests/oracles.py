@@ -1,7 +1,9 @@
 """Independent reference solvers used only by the test suite."""
 
+import math
+
 import numpy as np
-from scipy.optimize import least_squares, linprog
+from scipy.optimize import least_squares, linprog, minimize
 
 from heatloc.field import SparseMeasure
 from heatloc.operators import measure
@@ -22,29 +24,57 @@ def min_l1_equality_lp(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return res.x[:P] - res.x[P:]
 
 
+def min_norm_certificate(A: np.ndarray, support, signs) -> np.ndarray:
+    """Minimal-norm dual certificate: min |p|_2 s.t. A_S^T p = signs, |A^T p|_inf <= 1.
+
+    The quadratic program is solved by SLSQP from the least-norm solution of
+    the equality constraints.  The bound is imposed off the support only,
+    where it is not implied by the equalities.
+    """
+    S = np.asarray(support)
+    off = np.setdiff1d(np.arange(A.shape[1]), S)
+    B = np.vstack([A[:, off].T, -A[:, off].T])
+    cons = [
+        {"type": "eq", "fun": lambda p: A[:, S].T @ p - signs, "jac": lambda p: A[:, S].T},
+        {"type": "ineq", "fun": lambda p: 1.0 - B @ p, "jac": lambda p: -B},
+    ]
+    start = np.linalg.lstsq(A[:, S].T, signs, rcond=None)[0]
+    res = minimize(
+        lambda p: p @ p, start, jac=lambda p: 2.0 * p, constraints=cons,
+        method="SLSQP", options={"ftol": 1e-15, "maxiter": 1000},
+    )
+    if not res.success:
+        raise RuntimeError(f"certificate oracle failed: {res.message}")
+    return res.x
+
+
 def lasso_coordinate_descent(
     A: np.ndarray, b: np.ndarray, lam: float, max_sweeps: int = 100_000, tol: float = 1e-13
 ) -> np.ndarray:
-    """Cyclic coordinate descent on the LASSO, run to a tight fixed point."""
+    """Cyclic coordinate descent on the LASSO, run to a tight fixed point.
+
+    The correlations c = A^T (b - A x) move with each coordinate update
+    through one row of the Gram matrix A^T A, and are recomputed from x at
+    the start of every sweep so that rounding does not build up in them.
+    """
     n = A.shape[1]
-    x = np.zeros(n)
-    col2 = np.einsum("ij,ij->j", A, A)
-    r = b.copy()
+    gram = A.T @ A
+    col2 = np.diag(gram).tolist()
+    x = [0.0] * n
     for _ in range(max_sweeps):
+        c = A.T @ (b - A @ np.array(x))
         delta = 0.0
         for j in range(n):
             old = x[j]
-            if old != 0.0:
-                r += old * A[:, j]
-            rho_j = A[:, j] @ r
-            new = np.sign(rho_j) * max(abs(rho_j) - lam, 0.0) / col2[j]
-            x[j] = new
-            if new != 0.0:
-                r -= new * A[:, j]
-            delta = max(delta, abs(new - old))
+            rho_j = float(c[j]) + col2[j] * old
+            new = math.copysign(max(abs(rho_j) - lam, 0.0), rho_j) / col2[j]
+            if new != old:
+                c -= (new - old) * gram[j]
+                x[j] = new
+                delta = max(delta, abs(new - old))
         if delta < tol:
             break
-    return x
+    return np.array(x)
 
 
 def lasso_objective(A, b, lam, x) -> float:

@@ -5,6 +5,7 @@ here, not calibrated at runtime.
 """
 
 import math
+import pathlib
 import time
 
 import numpy as np
@@ -14,6 +15,7 @@ from heatloc.baseline import Sl0Config, sl0_solve
 from heatloc.bench import (
     ScenarioConfig,
     emit_results,
+    load_config,
     match_sources,
     run_scenario,
 )
@@ -48,6 +50,7 @@ from oracles import (
 )
 
 L = 2 * math.pi
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 REFERENCE_POSITIONS = [24 * L / 128, 60 * L / 128, 100 * L / 128]
 
 
@@ -119,6 +122,42 @@ def test_noiseless_1d_off_grid():
         ok,
         f"max pos err {rec.max_position_error:.2e} (tol {1e-2 * L:.2e}), "
         f"max amp err {max(rec.amplitude_errors_rel):.2e} (tol 2e-2), {elapsed:.1f}s",
+    )
+
+
+def test_noiseless_1d_on_grid_exact():
+    # on-grid sources are atoms of the initial grid, and the equality solve
+    # returns the exact minimum-l1 interpolant on the path's support
+    rec = run_scenario(reference_scenario(name="noiseless_on_grid_exact")).record
+    ok = (
+        len(rec.estimate_positions) == len(rec.position_errors) == 3
+        and rec.max_position_error <= 1e-8
+        and max(rec.amplitude_errors_rel) <= 1e-6
+    )
+    assert report(
+        "noiseless 1D on-grid, grid-exact",
+        ok,
+        f"max pos err {rec.max_position_error:.2e} (tol 1e-8), "
+        f"max amp err {max(rec.amplitude_errors_rel):.2e} (tol 1e-6)",
+    )
+
+
+def test_noiseless_1d_off_grid_config():
+    cfg = load_config(str(CONFIGS / "noiseless_1d_off_grid.json"))
+    art = run_scenario(cfg)
+    rec = art.record
+    n_converged = sum(dg.solver_converged for dg in art.result.per_round)
+    ok = (
+        len(rec.position_errors) == 3
+        and rec.max_position_error <= 1e-4
+        and n_converged == art.result.rounds
+        and art.exit_code == 0
+    )
+    assert report(
+        "noiseless 1D off-grid config",
+        ok,
+        f"max pos err {rec.max_position_error:.2e} (tol 1e-4), "
+        f"{n_converged}/{art.result.rounds} rounds converged, exit code {art.exit_code}",
     )
 
 

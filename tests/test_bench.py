@@ -119,10 +119,22 @@ class TestRunScenario:
     def test_noiseless_refinement_scenario(self):
         art = run_scenario(small_scenario())
         rec = art.record
-        assert rec.solver_converged
+        assert rec.refinement_stopped and rec.inner_solves_converged
         assert rec.max_position_error < 1e-3 * 2 * math.pi
         assert max(rec.amplitude_errors_rel) < 0.01
         assert art.exit_code == 0
+
+    def test_unknown_refinement_key_is_config_error(self):
+        for refinement in ({"solver": {"check_every": 50}}, {"extraction_mesh_points": 8192}):
+            with pytest.raises(ConfigError, match="refinement"):
+                run_scenario(small_scenario(refinement=refinement))
+
+    def test_inner_nonconvergence_sets_exit_code(self):
+        # a 2-step cap stops every equality solve short of its penalty
+        cfg = small_scenario(refinement={"max_rounds": 3, "solver": {"max_iters": 2}})
+        art = run_scenario(cfg)
+        assert not art.record.inner_solves_converged
+        assert art.exit_code == 2
 
     def test_determinism_byte_identical_records(self, tmp_path):
         cfg = small_scenario(snr_db=30.0)

@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 
 from heatloc.cli import main
 
@@ -60,6 +61,14 @@ class TestCli:
         assert code in (0, 2)
         assert (out / "cli" / "record.json").exists()
         assert (out / "cli" / "run_meta.json").exists()
+
+    def test_bench_off_grid_config_converges(self, tmp_path):
+        cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / "noiseless_1d_off_grid.json"
+        out = tmp_path / "bench"
+        assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
+        rec = json.loads((out / "noiseless_1d_off_grid" / "record.json").read_text())
+        assert rec["refinement_stopped"] and rec["inner_solves_converged"]
+        assert rec["schema_version"] == 2
 
     def test_bench_sweep(self, tmp_path):
         doc = json.loads(open(write_scenario(tmp_path)).read())

@@ -21,7 +21,7 @@ from heatloc.refinement import (
     select_peaks_2d,
 )
 
-from oracles import min_l1_equality_lp
+from oracles import min_l1_equality_lp, min_norm_certificate
 
 
 def reference_op_1d(rho=1.8125, n_sensors=16, length=2 * math.pi):
@@ -31,32 +31,43 @@ def reference_op_1d(rho=1.8125, n_sensors=16, length=2 * math.pi):
 
 class TestSelectPeaks1d:
     def test_single_run_midpoint(self):
-        pos = np.array([0.28, 0.30, 0.32, 0.34, 0.36])
-        vals = np.array([0.5, 0.995, 0.999, 0.995, 0.5])
-        out = select_peaks_1d(pos, vals, 0.99, cluster_gap=0.05)
+        # one chain of atoms gives its mass-weighted centroid
+        pos = np.array([0.36, 0.28, 0.30, 0.32, 0.34])
+        coeffs = np.array([0.0, 0.0, 0.25, 0.5, 0.25])
+        out = select_peaks_1d(pos, coeffs, width=0.05)
         np.testing.assert_allclose(out, [[0.32]])
 
     def test_two_runs_split_by_gap(self):
-        # the first run's flat top gives its centre; the second run peaks in
-        # |value| at 0.82
+        # chains break where consecutive atoms are a width or more apart;
+        # weights are coefficient magnitudes, whatever their sign
         pos = np.array([0.1, 0.12, 0.8, 0.82])
-        vals = np.array([0.999, 0.999, -0.995, -0.999])
-        out = select_peaks_1d(pos, vals, 0.99, cluster_gap=0.1)
-        np.testing.assert_allclose(out, [[0.11], [0.82]])
+        coeffs = np.array([0.5, 0.5, -0.25, -0.75])
+        out = select_peaks_1d(pos, coeffs, width=0.1)
+        np.testing.assert_allclose(out, [[0.11], [0.815]])
 
-    def test_one_run_with_two_maxima(self):
+    def test_chain_links_across_a_long_run(self):
+        # single linkage: a run of close atoms chains end to end, even where
+        # its extent exceeds the width
         pos = np.linspace(0.0, 0.6, 7)
-        vals = np.array([0.992, 0.998, 0.993, 0.991, 0.994, 0.997, 0.992])
-        out = select_peaks_1d(pos, vals, 0.99, cluster_gap=0.15)
-        np.testing.assert_allclose(out, [[0.1], [0.5]])
+        coeffs = np.ones(7)
+        out = select_peaks_1d(pos, coeffs, width=0.15)
+        np.testing.assert_allclose(out, [[0.3]])
 
-    def test_empty_when_all_below_threshold(self):
-        out = select_peaks_1d(np.linspace(0, 1, 10), np.full(10, 0.5), 0.99, 0.1)
+    def test_light_chain_dropped(self):
+        # a chain under 1e-3 of the l1 mass is dropped, one just above kept
+        pos = np.array([1.0, 2.0, 3.0])
+        out = select_peaks_1d(pos, np.array([1.0, 0.9e-3, 1.0]), width=0.5)
+        np.testing.assert_allclose(out, [[1.0], [3.0]])
+        out = select_peaks_1d(pos, np.array([1.0, 2.1e-3, 1.0]), width=0.5)
+        np.testing.assert_allclose(out, [[1.0], [2.0], [3.0]])
+
+    def test_empty_when_no_atoms(self):
+        out = select_peaks_1d(np.linspace(0, 1, 10), np.zeros(10), 0.1)
         assert out.shape == (0, 1)
 
-    def test_threshold_domain_checked(self):
+    def test_width_domain_checked(self):
         with pytest.raises(ValueError):
-            select_peaks_1d(np.array([0.0]), np.array([1.0]), 1.5, 0.1)
+            select_peaks_1d(np.array([0.0]), np.array([1.0]), 0.0)
 
 
 class TestSelectPeaks2d:
@@ -226,7 +237,9 @@ class TestRunRefinement:
 
     def test_scaling_data_leaves_certificate_argmax_unchanged(self):
         # the dual constraint set is scale free, so the converged certificate
-        # and in particular its near-1 region do not move when b is scaled
+        # and in particular its near-1 region do not move when b is scaled;
+        # that region is where the minimal-norm certificate touches 1, which
+        # here is wider than the support {7, 23, 41}
         from heatloc.solvers import solve_l1_equality
 
         rng = np.random.default_rng(11)
@@ -240,7 +253,11 @@ class TestRunRefinement:
         nu1, nu2 = A.T @ out1.dual, A.T @ out2.dual
         set1 = set(np.nonzero(np.abs(nu1) >= 1 - 1e-8)[0])
         set2 = set(np.nonzero(np.abs(nu2) >= 1 - 1e-8)[0])
-        assert set1 == set2 == {7, 23, 41}
+        support = [7, 23, 41]
+        p0 = min_norm_certificate(A, support, np.sign(x0[support]))
+        expected = set(np.nonzero(np.abs(A.T @ p0) >= 1 - 1e-8)[0])
+        assert {7, 23, 41} < expected
+        assert set1 == set2 == expected
 
     def test_scaling_data_keeps_pipeline_positions_close(self):
         op = reference_op_1d()
@@ -268,8 +285,9 @@ class TestRunRefinement:
         op = reference_op_1d()
         truth = SparseMeasure.from_1d([1.3113, 3.0871, 5.0422], [1.0, 1.0, 1.0])
         b = measure(op, truth)
+        # every round takes more than 5 path steps, so the cap binds
         cfg = RefinementConfig(
-            lo=[0.0], hi=[2 * math.pi], max_rounds=4, solver=SolverConfig(max_iters=500)
+            lo=[0.0], hi=[2 * math.pi], max_rounds=4, solver=SolverConfig(max_iters=5)
         )
         res = run_refinement(op, b, cfg, noisy=False)
         assert not res.solver_all_converged

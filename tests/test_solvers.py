@@ -1,38 +1,9 @@
 import numpy as np
 import pytest
 
-from heatloc.solvers import (
-    SolverConfig,
-    operator_norm_estimate,
-    solve_l1_equality,
-    solve_lasso,
-)
+from heatloc.solvers import SolverConfig, solve_l1_equality, solve_lasso
 
 from oracles import lasso_coordinate_descent, lasso_objective, min_l1_equality_lp
-
-
-class TestOperatorNorm:
-    def test_scaled_identity(self):
-        assert operator_norm_estimate(3.0 * np.eye(7)) == pytest.approx(3.0, abs=1e-6)
-
-    def test_rank_one(self):
-        rng = np.random.default_rng(0)
-        u, v = rng.standard_normal(6), rng.standard_normal(11)
-        expected = np.linalg.norm(u) * np.linalg.norm(v)
-        assert operator_norm_estimate(np.outer(u, v)) == pytest.approx(expected, rel=1e-6)
-
-    def test_within_one_percent_of_svd(self):
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            A = rng.standard_normal((20, 50))
-            top = np.linalg.svd(A, compute_uv=False)[0]
-            est = operator_norm_estimate(A)
-            assert est >= 0.99 * top
-            assert est <= top * (1 + 1e-9)
-
-    def test_zero_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            operator_norm_estimate(np.zeros((3, 3)))
 
 
 class TestL1Equality:
@@ -92,12 +63,53 @@ class TestL1Equality:
         assert out1.iterations == out2.iterations
 
     def test_iteration_cap_reports_nonconvergence(self):
+        # the path reaches the equality penalty in 2 steps; a cap of 1 binds
         rng = np.random.default_rng(5)
         A = rng.standard_normal((10, 30))
         b = A @ (np.eye(30)[:, :2] @ [1.0, -1.0])
-        out = solve_l1_equality(A, b, SolverConfig(max_iters=10))
+        full = solve_l1_equality(A, b)
+        assert full.converged and full.iterations == 2
+        out = solve_l1_equality(A, b, SolverConfig(max_iters=1))
         assert not out.converged
-        assert out.iterations == 10
+        assert out.iterations == 1
+        assert out.kkt.feasibility > 1e-3 * np.linalg.norm(b)  # reported, not hidden
+
+    def test_dense_data_gives_lp_solution(self):
+        # dense data: the path's support spans the rows, so the primal is the
+        # minimum-l1 interpolant and the feasible LASSO dual certifies it
+        rng = np.random.default_rng(12)
+        A = rng.standard_normal((12, 40))
+        b = rng.standard_normal(12)
+        out = solve_l1_equality(A, b)
+        xlp = min_l1_equality_lp(A, b)
+        assert out.converged
+        assert np.max(np.abs(out.primal - xlp)) < 1e-6
+        assert np.max(np.abs(A.T @ out.dual)) <= 1.0 + 1e-9
+        assert out.kkt.duality_gap <= 1e-9 * max(1.0, out.objective)
+
+    def test_infeasible_data_keeps_path_point(self):
+        # more rows than columns: no interpolant exists, the primal stays the
+        # path point at lam = 1e-6 max|A^T b| and the residual is reported
+        rng = np.random.default_rng(14)
+        A = rng.standard_normal((12, 5))
+        b = rng.standard_normal(12)
+        out = solve_l1_equality(A, b)
+        lam = 1e-6 * np.max(np.abs(A.T @ b))
+        assert out.converged
+        np.testing.assert_allclose(A @ out.primal + lam * out.dual, b, atol=1e-12)
+        assert out.kkt.feasibility == pytest.approx(np.linalg.norm(A @ out.primal - b))
+        assert out.kkt.feasibility > 0.1 * np.linalg.norm(b)
+        assert np.max(np.abs(A.T @ out.dual)) <= 1.0 + 1e-9
+
+    def test_scale_free(self):
+        rng = np.random.default_rng(13)
+        A = rng.standard_normal((10, 30))
+        b = A @ (np.eye(30)[:, [3, 20]] @ [1.0, -0.5])
+        xlp = min_l1_equality_lp(A, b)
+        for scale in (1e-6, 1.0, 1e6):
+            out = solve_l1_equality(A, scale * b)
+            assert out.converged
+            np.testing.assert_allclose(out.primal, scale * xlp, atol=1e-9 * scale)
 
 
 class TestLasso:
@@ -175,5 +187,3 @@ class TestSolverConfig:
             SolverConfig(tol_primal=0.0)
         with pytest.raises(ValueError):
             SolverConfig(max_iters=0)
-        with pytest.raises(ValueError):
-            SolverConfig(step_ratio=-1.0)
