@@ -56,7 +56,6 @@ from .refinement import (
     refine_grid,
     run_refinement,
     select_peaks_1d,
-    select_peaks_2d,
 )
 from .solvers import (
     KktResiduals,

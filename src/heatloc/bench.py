@@ -378,7 +378,6 @@ def _run_refinement_method(cfg, truth, op, b) -> tuple[SparseMeasure, RecoveryRe
         rcfg = RefinementConfig(
             lo=np.asarray(cfg.domain_lo, dtype=float),
             hi=np.asarray(cfg.domain_hi, dtype=float),
-            k_sources=overrides.pop("k_sources", cfg.s),
             **overrides,
         )
         solver = SolverConfig(**solver_overrides) if solver_overrides else None

@@ -20,6 +20,7 @@ import numpy as np
 __all__ = [
     "KernelParams",
     "SparseMeasure",
+    "kernel_matrix",
     "green_kernel",
     "evaluate_field",
     "tv_norm",
@@ -109,6 +110,22 @@ class SparseMeasure:
         return SparseMeasure(self.positions, factor * self.amplitudes)
 
 
+def kernel_matrix(xs: np.ndarray, ts, points: np.ndarray) -> np.ndarray:
+    """(n, P) matrix of kernel values G(x_i - q_j, t_i).
+
+    ``xs`` is (n, dim), ``points`` is (P, dim) and ``ts`` is one time or one
+    time per row of ``xs``.
+    """
+    dim = xs.shape[1]
+    # a single time stays a scalar: numpy's array power can differ from the
+    # scalar one in the last bit, and field outputs are byte-stable records
+    if np.ndim(ts):
+        ts = np.asarray(ts, dtype=float)[:, None]
+    diff = xs[:, None, :] - points[None, :, :]
+    r2 = np.einsum("npd,npd->np", diff, diff)
+    return (4.0 * math.pi * ts) ** (-dim / 2.0) * np.exp(-r2 / (2.0 * ts))
+
+
 def green_kernel(displacement, t: float, params: KernelParams):
     """Diffusion kernel (4*pi*t)**(-dim/2) * exp(-|displacement|**2 / (2*t)).
 
@@ -118,8 +135,7 @@ def green_kernel(displacement, t: float, params: KernelParams):
     if t <= 0:
         raise ValueError(f"kernel time must be positive, got {t}")
     pts, single = _as_points(displacement, params.dim)
-    r2 = np.einsum("nd,nd->n", pts, pts)
-    vals = (4.0 * math.pi * t) ** (-params.dim / 2.0) * np.exp(-r2 / (2.0 * t))
+    vals = kernel_matrix(pts, t, np.zeros((1, params.dim)))[:, 0]
     return float(vals[0]) if single else vals
 
 
@@ -131,10 +147,7 @@ def evaluate_field(mu: SparseMeasure, x, t: float):
     if mu.n_atoms == 0:
         vals = np.zeros(pts.shape[0])
     else:
-        diff = pts[:, None, :] - mu.positions[None, :, :]
-        r2 = np.einsum("nkd,nkd->nk", diff, diff)
-        kern = (4.0 * math.pi * t) ** (-mu.dim / 2.0) * np.exp(-r2 / (2.0 * t))
-        vals = kern @ mu.amplitudes
+        vals = kernel_matrix(pts, t, mu.positions) @ mu.amplitudes
     return float(vals[0]) if single else vals
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import KernelParams, SparseMeasure
+from .field import KernelParams, SparseMeasure, _as_points, kernel_matrix
 
 __all__ = [
     "SampleSet",
@@ -117,36 +117,13 @@ class MeasurementOperator:
         return KernelParams(self.dim)
 
 
-def _kernel_matrix(xs: np.ndarray, ts: np.ndarray, dim: int, points: np.ndarray) -> np.ndarray:
-    """(d, P) matrix of kernel values G(x_i - q_j, t_i)."""
-    diff = xs[:, None, :] - points[None, :, :]
-    r2 = np.einsum("npd,npd->np", diff, diff)
-    pref = (4.0 * math.pi * ts) ** (-dim / 2.0)
-    return pref[:, None] * np.exp(-r2 / (2.0 * ts[:, None]))
-
-
-def _as_point_array(x, dim: int) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 0:
-        if dim != 1:
-            raise ValueError(f"scalar point given but dim={dim}")
-        return arr.reshape(1, 1), True
-    if arr.ndim == 1:
-        if dim == 1:
-            return arr.reshape(-1, 1), arr.size == 1
-        if arr.size != dim:
-            raise ValueError(f"point of length {arr.size} does not match dim={dim}")
-        return arr.reshape(1, dim), True
-    return arr.reshape(-1, dim), False
-
-
 def measure(op: MeasurementOperator, mu: SparseMeasure) -> np.ndarray:
     """Sample the field of ``mu`` at every point of the operator's sample set."""
     if mu.dim != op.dim:
         raise ValueError(f"measure dim {mu.dim} does not match operator dim {op.dim}")
     if mu.n_atoms == 0:
         return np.zeros(op.d)
-    K = _kernel_matrix(op.samples.xs, op.samples.ts, op.dim, mu.positions)
+    K = kernel_matrix(op.samples.xs, op.samples.ts, mu.positions)
     return K @ mu.amplitudes
 
 
@@ -155,8 +132,8 @@ def certificate_eval(op: MeasurementOperator, lam: np.ndarray, x):
     lam = np.asarray(lam)
     if lam.shape != (op.d,):
         raise ValueError(f"weight vector has length {lam.shape}, expected ({op.d},)")
-    pts, single = _as_point_array(x, op.dim)
-    K = _kernel_matrix(op.samples.xs, op.samples.ts, op.dim, pts)
+    pts, single = _as_points(x, op.dim)
+    K = kernel_matrix(op.samples.xs, op.samples.ts, pts)
     vals = K.T @ lam
     return vals[0] if single else vals
 
@@ -166,9 +143,9 @@ def certificate_gradient(op: MeasurementOperator, lam: np.ndarray, x):
     lam = np.asarray(lam)
     if lam.shape != (op.d,):
         raise ValueError(f"weight vector has length {lam.shape}, expected ({op.d},)")
-    pts, single = _as_point_array(x, op.dim)
+    pts, single = _as_points(x, op.dim)
     xs, ts = op.samples.xs, op.samples.ts
-    K = _kernel_matrix(xs, ts, op.dim, pts)
+    K = kernel_matrix(xs, ts, pts)
     pull = (xs[:, None, :] - pts[None, :, :]) / ts[:, None, None]
     grad = np.einsum("i,ip,ipd->pd", lam, K, pull)
     return grad[0] if single else grad
@@ -249,12 +226,10 @@ class DictionaryMatrix:
 
 def build_dictionary(op: MeasurementOperator, grid) -> DictionaryMatrix:
     """Dictionary over candidate positions: column j samples a unit atom at q_j."""
-    pts = np.asarray(getattr(grid, "points", grid), dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, op.dim)
+    pts, _ = _as_points(getattr(grid, "points", grid), op.dim)
     if pts.shape[0] == 0:
         raise ValueError("candidate grid must be non-empty")
-    entries = _kernel_matrix(op.samples.xs, op.samples.ts, op.dim, pts)
+    entries = kernel_matrix(op.samples.xs, op.samples.ts, pts)
     return DictionaryMatrix(entries, pts)
 
 

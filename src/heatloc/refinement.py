@@ -3,11 +3,10 @@
 One round = solve the discretized dual on the current candidate grid, keep
 the grid points where the certificate has near-unit modulus, and insert new
 candidates at half the local spacing around them.  After the loop the final
-round is condensed into source positions (in 1D its primal coefficients:
-atoms closer than one kernel width are chained and each chain becomes its
-mass-weighted centroid; in 2D the certificate is thresholded, clustered by
-k-means and ascended by gradient steps) and amplitudes are recovered by a
-pseudo-inverse on the final support.
+round's primal coefficients are condensed into source positions, in 1D and
+2D alike: atoms closer than one kernel width are chained and each chain
+becomes its mass-weighted centroid.  Amplitudes are then recovered by a
+pseudo-inverse on that support.
 """
 
 from __future__ import annotations
@@ -29,13 +28,12 @@ __all__ = [
     "RecoveryResult",
     "run_refinement",
     "select_peaks_1d",
-    "select_peaks_2d",
     "refine_grid",
     "recover_amplitudes",
 ]
 
 _KEY_DECIMALS = 9  # grid points closer than 1e-9 are considered identical
-_MIN_CHAIN_MASS = 1e-3  # 1D chains lighter than this share of |x|_1 are dropped
+_MIN_CHAIN_MASS = 1e-3  # chains lighter than this share of |x|_1 are dropped
 
 
 def default_peak_threshold(k: int) -> float:
@@ -129,128 +127,48 @@ def refine_grid(grid: CandidateGrid, selected) -> CandidateGrid:
 
 
 def select_peaks_1d(positions, coefficients, width: float) -> np.ndarray:
-    """Source positions from 1D grid coefficients, one per chain of atoms.
+    """Source positions from grid coefficients, one per chain of atoms.
 
-    The atoms (grid points with a nonzero coefficient) are sorted by position
-    and chained while consecutive ones lie closer than ``width``.  Each chain
-    is replaced by the centroid of its atoms weighted by their coefficient
-    magnitudes, and chains holding less than ``_MIN_CHAIN_MASS`` of the total
-    l1 mass are dropped.  Returns a (k, 1) array in increasing position order.
+    ``positions`` holds one point per coefficient, as (P,) or (P, dim).  The
+    atoms (points with a nonzero coefficient) are chained by single linkage:
+    atoms closer than ``width`` share a chain, which in 1D means consecutive
+    atoms less than ``width`` apart.  Each chain is replaced by the centroid
+    of its atoms weighted by their coefficient magnitudes, and chains holding
+    less than ``_MIN_CHAIN_MASS`` of the total l1 mass are dropped.  Returns a
+    (k, dim) array, chains ordered by their smallest first coordinate.
     """
     if width <= 0:
         raise ValueError(f"width must be positive, got {width}")
-    pos = np.asarray(positions, dtype=float).reshape(-1)
     mass = np.abs(np.asarray(coefficients, dtype=float)).reshape(-1)
+    pos = np.asarray(positions, dtype=float)
+    if pos.ndim == 1:
+        pos = pos[:, None]
     atoms = np.flatnonzero(mass)
-    order = atoms[np.argsort(pos[atoms], kind="stable")]
+    order = atoms[np.argsort(pos[atoms, 0], kind="stable")]
     pos, mass = pos[order], mass[order]
-    breaks = np.flatnonzero(np.diff(pos) >= width) + 1
+    n = mass.size
+    near = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1) < width
+    # each atom takes the smallest index among its neighbours until nothing
+    # changes; every chain is then named by its first atom in sorted order
+    chain = np.arange(n)
+    while True:
+        linked = np.where(near, chain, n).min(axis=1, initial=n)
+        if np.array_equal(linked, chain):
+            break
+        chain = linked
     total = float(np.sum(mass))
-    peaks = [
-        float(m @ x) / float(np.sum(m))
-        for x, m in zip(np.split(pos, breaks), np.split(mass, breaks))
-        if x.size and np.sum(m) >= _MIN_CHAIN_MASS * total
-    ]
-    return np.asarray(peaks, dtype=float).reshape(-1, 1)
+    peaks = []
+    for c in np.unique(chain):
+        x, m = pos[chain == c], mass[chain == c]
+        if np.sum(m) >= _MIN_CHAIN_MASS * total:
+            # a dot product per coordinate: in 1D the plain vector dot, from
+            # which a vector-matrix product can differ in the last bit
+            peaks.append([m @ col for col in x.T] / np.sum(m))
+    return np.asarray(peaks, dtype=float).reshape(-1, pos.shape[1])
 
 
-def _kmeans(points: np.ndarray, k: int, seed: int, iters: int = 100) -> np.ndarray:
-    """Plain Lloyd iterations with a k-means++ start; deterministic in seed."""
-    gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    n = points.shape[0]
-    centers = [points[int(gen.integers(n))]]
-    for _ in range(1, k):
-        d2 = np.min(
-            [np.einsum("nd,nd->n", points - c, points - c) for c in centers], axis=0
-        )
-        total = d2.sum()
-        if total == 0.0:
-            centers.append(points[int(gen.integers(n))])
-            continue
-        centers.append(points[int(gen.choice(n, p=d2 / total))])
-    centers = np.asarray(centers)
-    for _ in range(iters):
-        d2 = np.einsum("nkd,nkd->nk", points[:, None, :] - centers[None, :, :],
-                       points[:, None, :] - centers[None, :, :])
-        labels = np.argmin(d2, axis=1)
-        new_centers = centers.copy()
-        for j in range(k):
-            m = labels == j
-            if np.any(m):
-                new_centers[j] = points[m].mean(axis=0)
-        shift = float(np.max(np.abs(new_centers - centers)))
-        centers = new_centers
-        if shift < 1e-12:
-            break
-    return centers
-
-
-def _ascend_abs(cert: DualCertificate, x0: np.ndarray, lo, hi,
-                max_iters: int, tol: float, step0: float) -> np.ndarray:
-    """Backtracking gradient ascent on |nu| from x0, clipped to the domain."""
-    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    f = abs(cert(x))
-    step = step0
-    for _ in range(max_iters):
-        v = cert(x)
-        if v == 0.0:
-            break
-        g = math.copysign(1.0, v) * cert.gradient(x)
-        gn = float(np.linalg.norm(g))
-        if gn < tol:
-            break
-        s = step
-        accepted = False
-        while s > 1e-18:
-            xn = np.clip(x + s * g, lo, hi)
-            move = float(g @ (xn - x))
-            if move <= 0.0:
-                s *= 0.5
-                continue
-            fn = abs(cert(xn))
-            if fn >= f + 1e-4 * move:
-                accepted = True
-                break
-            s *= 0.5
-        if not accepted:
-            break
-        x, f = xn, fn
-        step = min(2.0 * s, step0)
-    return x
-
-
-def select_peaks_2d(cert: DualCertificate, grid: CandidateGrid, threshold: float,
-                    k: int, cfg: "RefinementConfig") -> tuple[np.ndarray, dict]:
-    """Certificate maxima: threshold grid values, k-means, then gradient ascent.
-
-    Returns the ascended maxima (deduplicated within ``cluster_gap``) and a
-    diagnostics dict; ``k`` is reduced when fewer super-threshold points exist.
-    """
-    if k < 1:
-        raise ValueError("need k >= 1 cluster centers")
-    vals = np.asarray(cert(grid.points))
-    mask = np.abs(vals) > threshold
-    info: dict = {"requested_k": k, "n_super_threshold": int(mask.sum())}
-    if not np.any(mask):
-        info["effective_k"] = 0
-        return np.empty((0, grid.dim)), info
-    pts = grid.points[mask]
-    k_eff = min(k, pts.shape[0])
-    info["effective_k"] = k_eff
-    info["k_reduced"] = k_eff < k
-    centers = _kmeans(pts, k_eff, cfg.kmeans_seed)
-    t_min = float(np.min(cert.op.samples.ts))
-    maxima = [
-        _ascend_abs(cert, c, grid.lo, grid.hi, cfg.grad_max_iters, cfg.grad_tol, t_min)
-        for c in centers
-    ]
-    gap = cfg.cluster_gap if cfg.cluster_gap is not None else 3.0 * float(np.min(grid.spacing))
-    kept: list[np.ndarray] = []
-    for x in sorted(maxima, key=lambda z: -abs(cert(z))):
-        if all(np.linalg.norm(x - y) >= gap for y in kept):
-            kept.append(x)
-    info["n_deduplicated"] = len(maxima) - len(kept)
-    return np.asarray(kept), info
+# One extractor for every dimension; perfbench/tracing.py still wraps this name.
+select_peaks_2d = select_peaks_1d
 
 
 def recover_amplitudes(op: MeasurementOperator, support, b) -> SparseMeasure:
@@ -274,12 +192,6 @@ class RefinementConfig:
     stop_tol: float | None = None          # default 1e-4 noiseless, 1e-6 noisy
     max_rounds: int = 12
     lasso_lambda: float | Callable[[np.ndarray], float] | None = None
-    final_threshold: float = 0.99          # 2D extraction threshold on |nu|
-    cluster_gap: float | None = None       # 2D dedup gap; default 3x the finest spacing
-    k_sources: int | None = None           # 2D cluster count; None = auto
-    grad_max_iters: int = 200
-    grad_tol: float = 1e-10
-    kmeans_seed: int = 0
     solver: SolverConfig | None = None
 
     def __post_init__(self) -> None:
@@ -322,25 +234,6 @@ class RecoveryResult:
     @property
     def solver_all_converged(self) -> bool:
         return all(dg.solver_converged for dg in self.per_round)
-
-
-def _auto_cluster_count(points: np.ndarray, gap: float) -> int:
-    """Number of groups under greedy single-linkage with the given gap."""
-    remaining = list(range(points.shape[0]))
-    groups = 0
-    while remaining:
-        groups += 1
-        stack = [remaining.pop(0)]
-        while stack:
-            i = stack.pop()
-            keep = []
-            for j in remaining:
-                if np.linalg.norm(points[i] - points[j]) < gap:
-                    stack.append(j)
-                else:
-                    keep.append(j)
-            remaining = keep
-    return groups
 
 
 def run_refinement(op: MeasurementOperator, b, cfg: RefinementConfig, noisy: bool) -> RecoveryResult:
@@ -408,22 +301,9 @@ def run_refinement(op: MeasurementOperator, b, cfg: RefinementConfig, noisy: boo
 
     certificate = DualCertificate(op, outcome.dual)
 
-    if op.dim == 1:
-        # the final round's coefficients, chained within one kernel width
-        width = math.sqrt(float(np.min(op.samples.ts)))
-        support = select_peaks_1d(grid.points[:, 0], outcome.primal, width)
-    else:
-        nu = build_dictionary(op, grid).entries.T @ outcome.dual
-        gap = cfg.cluster_gap if cfg.cluster_gap is not None else 3.0 * float(np.min(grid.spacing))
-        mask = np.abs(nu) > cfg.final_threshold
-        if cfg.k_sources is not None:
-            k_clusters = cfg.k_sources
-        else:
-            k_clusters = _auto_cluster_count(grid.points[mask], gap) if np.any(mask) else 0
-        if k_clusters > 0:
-            support, _ = select_peaks_2d(certificate, grid, cfg.final_threshold, k_clusters, cfg)
-        else:
-            support = np.empty((0, op.dim))
+    # the final round's coefficients, chained within one kernel width
+    width = math.sqrt(float(np.min(op.samples.ts)))
+    support = select_peaks_1d(grid.points, outcome.primal, width)
 
     if support.shape[0] == 0:
         estimate = SparseMeasure.empty(op.dim)

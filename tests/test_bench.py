@@ -125,7 +125,10 @@ class TestRunScenario:
         assert art.exit_code == 0
 
     def test_unknown_refinement_key_is_config_error(self):
-        for refinement in ({"solver": {"check_every": 50}}, {"extraction_mesh_points": 8192}):
+        removed = ({"solver": {"check_every": 50}}, {"extraction_mesh_points": 8192},
+                   {"final_threshold": 0.99}, {"cluster_gap": 0.1}, {"k_sources": 2},
+                   {"grad_max_iters": 200}, {"grad_tol": 1e-10}, {"kmeans_seed": 0})
+        for refinement in removed:
             with pytest.raises(ConfigError, match="refinement"):
                 run_scenario(small_scenario(refinement=refinement))
 
@@ -191,6 +194,30 @@ class TestRunScenario:
         lines = open(paths["field"]).read().strip().split("\n")
         assert lines[0] == "x,y,field_true,field_est"
         assert len(lines) == 1 + 64 * 64
+
+    @pytest.mark.parametrize("noise_seed, positions", [
+        (14, [[3.788478, 2.231539], [4.438421, 4.393836], [5.183725, 1.640621]]),
+        (57, [[1.398395, 3.561193], [3.015927, 3.650219], [4.431903, 1.841989]]),
+    ])
+    def test_2d_draws_recover_every_source(self, noise_seed, positions):
+        # two drawn 3-source scenarios at 30 dB on which certificate
+        # clustering returned a phantom atom (noise seed 14) or too few atoms
+        # (noise seed 57); chaining the final primal atoms finds all three
+        cfg = small_scenario(
+            dim=2,
+            domain_lo=[0.0, 0.0],
+            domain_hi=[2 * math.pi, 2 * math.pi],
+            s=3,
+            source_positions=positions,
+            amplitudes=[1.0, 1.0, 1.0],
+            snr_db=30.0,
+            noise_seed=noise_seed,
+            refinement={"lasso_lambda": "universal", "max_rounds": 10,
+                        "solver": {"max_iters": 50000, "tol_primal": 1e-7, "tol_dual": 1e-7}},
+        )
+        rec = run_scenario(cfg).record
+        assert len(rec.estimate_positions) == 3
+        assert rec.max_position_error <= 0.05
 
     def test_noisy_1d_40db_capability(self):
         # fixed demonstration that the pipeline recovers the reference noisy

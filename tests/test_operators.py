@@ -77,6 +77,13 @@ class TestCertificate:
         with pytest.raises(ValueError):
             certificate_eval(op, np.ones(op.d + 1), 0.0)
 
+    def test_wrong_point_dimension_rejected(self):
+        op = make_op_1d()
+        with pytest.raises(ValueError):
+            certificate_eval(op, np.ones(op.d), np.zeros((5, 2)))
+        with pytest.raises(ValueError):
+            build_dictionary(op, np.zeros((5, 2)))
+
     def test_adjoint_identity(self):
         # <M mu, lam> equals sum_i c_i nu(p_i) for the induced certificate
         rng = np.random.default_rng(3)

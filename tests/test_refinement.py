@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from heatloc.field import KernelParams, SparseMeasure, green_kernel
+from heatloc.field import SparseMeasure
 from heatloc.operators import (
-    DualCertificate,
     MeasurementOperator,
     SampleSet,
     build_dictionary,
@@ -71,51 +70,32 @@ class TestSelectPeaks1d:
 
 
 class TestSelectPeaks2d:
-    def _bump_certificate(self, centers, t=0.08):
-        ax = np.linspace(-1, 1, 15)
-        op = MeasurementOperator(SampleSet.grid((ax, ax), t))
-        w = np.zeros(op.d)
-        for c in centers:
-            d2 = np.einsum("nd,nd->n", op.samples.xs - c, op.samples.xs - c)
-            w[int(np.argmin(d2))] = 1.0 / green_kernel((0.0, 0.0), t, KernelParams(2))
-        return DualCertificate(op, w), op
+    def test_two_chains_give_two_centroids(self):
+        pos = np.array([[1.0, 1.0], [1.1, 1.0], [3.0, 2.0], [3.0, 2.1], [3.1, 2.1]])
+        coeffs = np.array([0.5, 0.5, 0.25, 0.25, 0.5])
+        out = select_peaks_2d(pos, coeffs, width=0.2)
+        np.testing.assert_allclose(out, [[1.05, 1.0], [3.05, 2.075]])
 
-    def test_single_bump_ascends_to_center(self):
-        center = np.array([2 / 14, -4 / 14])  # a sample-grid node
-        cert, op = self._bump_certificate([center])
-        grid = CandidateGrid.uniform([-1, -1], [1, 1], 12)
-        cfg = RefinementConfig(lo=[-1, -1], hi=[1, 1])
-        peaks, info = select_peaks_2d(cert, grid, 0.5, 1, cfg)
-        assert peaks.shape == (1, 2)
-        assert np.linalg.norm(peaks[0] - center) < 1e-6
+    def test_diagonal_run_chains_end_to_end(self):
+        # neighbours 0.1*sqrt(2) apart link, though the run spans 0.85
+        pos = np.stack([np.linspace(0.0, 0.6, 7)] * 2, axis=1)
+        out = select_peaks_2d(pos, np.ones(7), width=0.15)
+        np.testing.assert_allclose(out, [[0.3, 0.3]])
+        out = select_peaks_2d(pos, np.ones(7), width=0.14)
+        assert out.shape == (7, 2)
 
-    def test_three_bumps(self):
-        # well separated relative to the bump width, so apexes sit at the
-        # weight nodes up to interactions far below the tolerance
-        nodes = np.array([[-10 / 14, -10 / 14], [0.0, 12 / 14], [12 / 14, -6 / 14]])
-        cert, op = self._bump_certificate(list(nodes), t=0.04)
-        grid = CandidateGrid.uniform([-1, -1], [1, 1], 16)
-        cfg = RefinementConfig(lo=[-1, -1], hi=[1, 1], kmeans_seed=3)
-        peaks, info = select_peaks_2d(cert, grid, 0.6, 3, cfg)
-        assert peaks.shape == (3, 2)
-        for node in nodes:
-            assert min(np.linalg.norm(p - node) for p in peaks) < 1e-4
+    def test_light_chain_dropped(self):
+        pos = np.array([[1.0, 1.0], [2.0, 3.0], [3.0, 1.0]])
+        out = select_peaks_2d(pos, np.array([1.0, 0.9e-3, 1.0]), width=0.5)
+        np.testing.assert_allclose(out, [[1.0, 1.0], [3.0, 1.0]])
 
-    def test_k_reduced_when_too_few_points(self):
-        cert, op = self._bump_certificate([np.array([0.0, 0.0])])
-        grid = CandidateGrid.uniform([-1, -1], [1, 1], 8)
-        cfg = RefinementConfig(lo=[-1, -1], hi=[1, 1])
-        peaks, info = select_peaks_2d(cert, grid, 0.98, 4, cfg)
-        assert info["effective_k"] < 4
-        assert info["k_reduced"]
-
-    def test_duplicates_merged(self):
-        cert, op = self._bump_certificate([np.array([0.0, 0.0])])
-        grid = CandidateGrid.uniform([-1, -1], [1, 1], 16)
-        cfg = RefinementConfig(lo=[-1, -1], hi=[1, 1], cluster_gap=0.2)
-        peaks, info = select_peaks_2d(cert, grid, 0.5, 3, cfg)
-        assert peaks.shape[0] == 1
-        assert info["n_deduplicated"] >= 1
+    def test_flat_and_column_positions_agree(self):
+        pos = np.array([0.36, 0.28, 0.30, 0.8, 0.34, 0.82])
+        coeffs = np.array([0.1, 0.0, 0.25, -0.3, 0.25, 0.7])
+        flat = select_peaks_1d(pos, coeffs, width=0.05)
+        column = select_peaks_1d(pos[:, None], coeffs, width=0.05)
+        assert flat.shape == (2, 1)
+        assert flat.tobytes() == column.tobytes()
 
 
 class TestRefineGrid:
