@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import itertools
 import json
 import math
 import os
@@ -20,7 +19,6 @@ import time
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .baseline import Sl0Config, sl0_solve, validate_rho
 from .field import SparseMeasure, add_noise, evaluate_field
@@ -28,10 +26,11 @@ from .operators import (
     MeasurementOperator,
     SampleSet,
     baseline_matrix,
+    build_dictionary,
     measure,
     rho_bounds,
 )
-from .refinement import RecoveryResult, RefinementConfig, run_refinement
+from .refinement import CandidateGrid, RecoveryResult, RefinementConfig, run_refinement
 from .solvers import SolverConfig
 
 __all__ = [
@@ -50,7 +49,6 @@ __all__ = [
     "run_sweep",
     "match_sources",
     "emit_results",
-    "lasso_lambda_rule",
     "lasso_lambda_universal",
 ]
 
@@ -145,35 +143,12 @@ def dump_config(cfg: ScenarioConfig) -> str:
     return json.dumps(dataclasses.asdict(cfg), sort_keys=True, indent=2) + "\n"
 
 
-def lasso_lambda_rule(snr_db: float, factor: float = 0.35):
-    """Penalty rule: factor times the per-sample noise variance implied by the SNR.
-
-    A hand-tuned rule, chosen by ``"noise-variance"``; a noisy config that
-    names no rule gets ``"universal"``.  Note it is not scale invariant (the
-    penalty tracks the variance while a denoising penalty must scale with the
-    noise standard deviation), so it is only appropriate at the signal scale
-    it was tuned for; see :func:`lasso_lambda_universal` for a scale-free
-    alternative.  On the 1D reference instance (three unit sources, 16
-    sensors, rho at the midpoint of its bounds, 40 dB) it gives 4.7e-6 where
-    the universal rule gives 7.1e-3, and the LASSO minimizer at that penalty
-    fits the noise.
-    """
-
-    def rule(b: np.ndarray) -> float:
-        b = np.asarray(b, dtype=float)
-        return factor * float(b @ b) * 10.0 ** (-snr_db / 10.0) / b.size
-
-    return rule
-
-
-def lasso_lambda_universal(snr_db: float, op: MeasurementOperator, grid_points, factor: float = 1.0):
+def lasso_lambda_universal(snr_db: float, op: MeasurementOperator, grid_points):
     """Scale-free penalty rule: noise std times the universal threshold.
 
-    lambda = factor * sigma_d * max_j |a_j|_2 * sqrt(2 log P), with column
-    norms taken over the initial candidate grid.
+    lambda = sigma_d * max_j |a_j|_2 * sqrt(2 log P), with column norms taken
+    over the initial candidate grid.
     """
-    from .operators import build_dictionary
-
     A0 = build_dictionary(op, grid_points)
     colmax = float(np.max(np.linalg.norm(A0.entries, axis=0)))
     P = A0.shape[1]
@@ -181,7 +156,7 @@ def lasso_lambda_universal(snr_db: float, op: MeasurementOperator, grid_points, 
     def rule(b: np.ndarray) -> float:
         b = np.asarray(b, dtype=float)
         sigma = math.sqrt(float(b @ b) * 10.0 ** (-snr_db / 10.0) / b.size)
-        return factor * sigma * colmax * math.sqrt(2.0 * math.log(max(P, 2)))
+        return sigma * colmax * math.sqrt(2.0 * math.log(max(P, 2)))
 
     return rule
 
@@ -270,28 +245,20 @@ class MatchResult:
 def match_sources(truth: SparseMeasure, estimate: SparseMeasure) -> MatchResult:
     """Optimal assignment between truth and estimated atoms by total distance.
 
-    Exhaustive over injections when both sides have at most 6 atoms, otherwise
-    a rectangular linear-sum assignment.
+    A rectangular linear-sum assignment: min(nt, ne) pairs, each atom used at
+    most once, pairs sorted by truth index.
     """
+    # deferred so that importing the package does not load scipy.optimize
+    from scipy.optimize import linear_sum_assignment
+
     nt, ne = truth.n_atoms, estimate.n_atoms
     if nt == 0 or ne == 0:
         return MatchResult([], [], [], [], list(range(nt)), list(range(ne)), 0.0)
     diff = truth.positions[:, None, :] - estimate.positions[None, :, :]
     D = np.sqrt(np.einsum("ted,ted->te", diff, diff))
-    if max(nt, ne) <= 6:
-        r = min(nt, ne)
-        best_cost, best_pairs = math.inf, None
-        small, large = (range(nt), range(ne)) if nt <= ne else (range(ne), range(nt))
-        for combo in itertools.permutations(large, r):
-            pairs = list(zip(small, combo)) if nt <= ne else [(j, i) for i, j in zip(small, combo)]
-            cost = sum(D[i, j] for i, j in pairs)
-            if cost < best_cost:
-                best_cost, best_pairs = cost, pairs
-        pairs = sorted(best_pairs)
-    else:
-        rows, cols = linear_sum_assignment(D)
-        pairs = sorted(zip(rows.tolist(), cols.tolist()))
-        best_cost = float(D[rows, cols].sum())
+    rows, cols = linear_sum_assignment(D)
+    pairs = sorted(zip(rows.tolist(), cols.tolist()))
+    total_cost = float(D[rows, cols].sum())
     pos_err = [float(D[i, j]) for i, j in pairs]
     amp_err = [float(abs(estimate.amplitudes[j] - truth.amplitudes[i])) for i, j in pairs]
     amp_rel = [
@@ -305,7 +272,7 @@ def match_sources(truth: SparseMeasure, estimate: SparseMeasure) -> MatchResult:
         amplitude_errors_rel=amp_rel,
         unmatched_truth=[i for i in range(nt) if i not in {p[0] for p in pairs}],
         unmatched_estimate=[j for j in range(ne) if j not in {p[1] for p in pairs}],
-        total_cost=float(best_cost),
+        total_cost=total_cost,
     )
 
 
@@ -383,17 +350,11 @@ def _run_refinement_method(cfg, truth, op, b) -> tuple[SparseMeasure, RecoveryRe
         solver = SolverConfig(**solver_overrides) if solver_overrides else None
     except TypeError as exc:  # a key the config classes do not have
         raise ConfigError(f"refinement: {exc}") from exc
-    if noisy and (rcfg.lasso_lambda is None or isinstance(rcfg.lasso_lambda, str)):
-        kind = rcfg.lasso_lambda or "universal"
-        if kind == "noise-variance":
-            rcfg.lasso_lambda = lasso_lambda_rule(cfg.snr_db)
-        elif kind == "universal":
-            from .refinement import CandidateGrid
-
-            grid0 = CandidateGrid.uniform(rcfg.lo, rcfg.hi, rcfg.initial_points_per_dim)
-            rcfg.lasso_lambda = lasso_lambda_universal(cfg.snr_db, op, grid0.points)
-        else:
-            raise ConfigError(f"refinement.lasso_lambda: unknown rule {kind!r}")
+    if isinstance(rcfg.lasso_lambda, str) and rcfg.lasso_lambda != "universal":
+        raise ConfigError(f"refinement.lasso_lambda: unknown rule {rcfg.lasso_lambda!r}")
+    if noisy and (rcfg.lasso_lambda is None or rcfg.lasso_lambda == "universal"):
+        grid0 = CandidateGrid.uniform(rcfg.lo, rcfg.hi, rcfg.initial_points_per_dim)
+        rcfg.lasso_lambda = lasso_lambda_universal(cfg.snr_db, op, grid0.points)
     rcfg.solver = solver
     result = run_refinement(op, b, rcfg, noisy)
     return result.estimate, result

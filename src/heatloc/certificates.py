@@ -351,19 +351,6 @@ def _mesh_values(g, axes) -> np.ndarray:
     return flat.reshape([len(a) for a in axes])
 
 
-def _gradient_bound(g, axes, values: np.ndarray) -> float:
-    try:
-        return float(g.gradient_bound())
-    except AttributeError:
-        pass
-    # fall back to a finite-difference estimate on the evaluation mesh
-    bound = 0.0
-    for axis in range(values.ndim):
-        h = axes[axis][1] - axes[axis][0]
-        bound = max(bound, float(np.max(np.abs(np.diff(values, axis=axis)))) / h)
-    return 2.0 * bound
-
-
 def verify_soft_conditions(
     g,
     mu0: SparseMeasure,
@@ -374,7 +361,6 @@ def verify_soft_conditions(
     eps: float = 0.0,
     rho: float = 1.0,
     mesh_points: int = 2048,
-    box: tuple | None = None,
 ) -> CertificateReport:
     """Evaluate the three soft-recovery conditions of ``g`` for atom ``i0``.
 
@@ -382,10 +368,17 @@ def verify_soft_conditions(
     certificate modulus at the anchor atom, and tau is one minus the measured
     sup of |g - bump * g(p0)| over a dense mesh, shrunk by an off-mesh
     Lipschitz margin and a Gaussian tail bound for the region beyond the mesh.
+    ``g`` must provide ``gradient_bound()``.  The noisy radius is that of
+    :func:`noisy_recovery_radius` (so ``rho >= 1`` and ``eps >= 0``), NaN
+    when its level is not positive.
     """
     _check_normalized(mu0)
     if lam <= 0:
         raise ValueError("width parameter lam must be positive")
+    if rho < 1.0:
+        raise ValueError("rho must be >= 1")
+    if eps < 0.0:
+        raise ValueError("eps must be >= 0")
     p0 = mu0.positions[i0]
 
     at_atoms = np.atleast_1d(g(mu0.positions))
@@ -394,25 +387,20 @@ def verify_soft_conditions(
     sigma = abs(g0)
 
     weights = getattr(g, "weights", None)
-    if box is None:
-        samples = getattr(getattr(g, "op", None), "samples", None)
-        base_lo = np.minimum(np.min(mu0.positions, axis=0), p0)
-        base_hi = np.maximum(np.max(mu0.positions, axis=0), p0)
-        if samples is not None:
-            base_lo = np.minimum(base_lo, np.min(samples.xs, axis=0))
-            base_hi = np.maximum(base_hi, np.max(samples.xs, axis=0))
-        amp = sigma + 1.0
-        if weights is not None and samples is not None:
-            t_min = float(np.min(samples.ts))
-            pref = (4.0 * math.pi * t_min) ** (-mu0.dim / 2.0)
-            amp += float(np.sum(np.abs(weights))) * pref
-        pad = math.sqrt(4.0 * lam * math.log(amp * 1e13))
-        lo, hi = base_lo - pad, base_hi + pad
-        tail = amp * math.exp(-pad * pad / (4.0 * lam))
-    else:
-        lo = np.atleast_1d(np.asarray(box[0], dtype=float))
-        hi = np.atleast_1d(np.asarray(box[1], dtype=float))
-        tail = 0.0  # caller-supplied box: tail treated as out of scope
+    samples = getattr(getattr(g, "op", None), "samples", None)
+    base_lo = np.minimum(np.min(mu0.positions, axis=0), p0)
+    base_hi = np.maximum(np.max(mu0.positions, axis=0), p0)
+    if samples is not None:
+        base_lo = np.minimum(base_lo, np.min(samples.xs, axis=0))
+        base_hi = np.maximum(base_hi, np.max(samples.xs, axis=0))
+    amp = sigma + 1.0
+    if weights is not None and samples is not None:
+        t_min = float(np.min(samples.ts))
+        pref = (4.0 * math.pi * t_min) ** (-mu0.dim / 2.0)
+        amp += float(np.sum(np.abs(weights))) * pref
+    pad = math.sqrt(4.0 * lam * math.log(amp * 1e13))
+    lo, hi = base_lo - pad, base_hi + pad
+    tail = amp * math.exp(-pad * pad / (4.0 * lam))
 
     axes = [np.linspace(lo[j], hi[j], mesh_points) for j in range(mu0.dim)]
     values = _mesh_values(g, axes)
@@ -421,7 +409,7 @@ def verify_soft_conditions(
 
     h = max(float(a[1] - a[0]) for a in axes)
     lip_bump = sigma * math.exp(-0.5) / math.sqrt(2.0 * lam)
-    lip_g = _gradient_bound(g, axes, values)
+    lip_g = float(g.gradient_bound())
     margin = (lip_g + lip_bump) * 0.5 * h * math.sqrt(mu0.dim)
 
     tau_mesh = 1.0 - sup_mesh
@@ -434,9 +422,10 @@ def verify_soft_conditions(
     if feasible and tau <= sigma * (1.0 + 1e-12):
         bound_noiseless = recovery_radius(tau, sigma, lam)
         if not math.isnan(weight_norm):
-            level = tau / sigma - (2.0 * weight_norm * eps + (rho - 1.0)) / (rho * sigma)
-            if 0.0 < level:
-                bound_noisy = math.sqrt(4.0 * lam * math.log(1.0 / level))
+            try:
+                bound_noisy = noisy_recovery_radius(tau, sigma, lam, weight_norm, eps, rho)
+            except ValueError:
+                pass  # the noisy level is not positive: no noisy bound
 
     return CertificateReport(
         sigma=sigma,
@@ -540,18 +529,16 @@ def smallest_feasible_m(
     mu0: SparseMeasure,
     i0: int,
     m_values,
-    p_rule=None,
     **cert_kwargs,
 ) -> tuple[int, CertificateReport] | None:
     """First m in ``m_values`` whose calibrated certificate is feasible.
 
-    ``p_rule`` maps m to the kernel order; the default m // 4 is the largest
-    order whose translates fit inside the grid.
+    The kernel order is m // 4, the largest whose translates fit inside the
+    grid.
     """
-    p_rule = p_rule or (lambda m: max(1, m // 4))
     for m in sorted(m_values):
         try:
-            cfg = CertConfig(lam=lam, m=int(m), p_jackson=int(p_rule(m)), dim=mu0.dim, **cert_kwargs)
+            cfg = CertConfig(lam=lam, m=int(m), p_jackson=max(1, int(m) // 4), dim=mu0.dim, **cert_kwargs)
             approx = calibrated_certificate(cfg, mu0, i0)
             report = verify_soft_conditions(
                 approx.certificate, mu0, i0, lam, coeff_norm=approx.coeff_norm

@@ -96,29 +96,30 @@ def _cmd_solve(args) -> int:
 def _cmd_certify(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    optional = {k: raw[k] for k in ("quadrature_points", "dim", "mesh_points") if k in raw}
     try:
         cert_cfg = CertConfig(
             lam=raw["lam"],
             m=raw["m"],
             p_jackson=raw.get("p_jackson", max(1, raw["m"] // 4)),
-            quadrature_points=raw.get("quadrature_points", 4096),
-            dim=raw.get("dim", 2),
-            mesh_points=raw.get("mesh_points", 2048),
+            **optional,
         )
         positions = np.asarray(raw["source_positions"], dtype=float)
         amplitudes = np.asarray(raw["source_amplitudes"], dtype=float)
         i0 = int(raw.get("i0", 0))
         eps = float(raw.get("eps", 0.0))
         rho = float(raw.get("rho", 1.0))
+        mu0 = SparseMeasure(positions.reshape(-1, cert_cfg.dim), amplitudes)
+        approx = calibrated_certificate(cert_cfg, mu0, i0)
+        report = verify_soft_conditions(
+            approx.certificate, mu0, i0, cert_cfg.lam,
+            coeff_norm=approx.coeff_norm, eps=eps, rho=rho,
+            mesh_points=cert_cfg.mesh_points,
+        )
     except KeyError as exc:
         raise ConfigError(f"certify config: missing field {exc}") from exc
-    mu0 = SparseMeasure(positions.reshape(-1, cert_cfg.dim), amplitudes)
-    approx = calibrated_certificate(cert_cfg, mu0, i0)
-    report = verify_soft_conditions(
-        approx.certificate, mu0, i0, cert_cfg.lam,
-        coeff_norm=approx.coeff_norm, eps=eps, rho=rho,
-        mesh_points=cert_cfg.mesh_points,
-    )
+    except ValueError as exc:  # all inputs come from the config: a value is out of range
+        raise ConfigError(f"certify config: {exc}") from exc
     doc = {
         "feasible": report.feasible,
         "sigma": report.sigma,

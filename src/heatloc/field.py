@@ -106,9 +106,6 @@ class SparseMeasure:
     def tv_norm(self) -> float:
         return float(np.sum(np.abs(self.amplitudes)))
 
-    def scaled(self, factor: float) -> "SparseMeasure":
-        return SparseMeasure(self.positions, factor * self.amplitudes)
-
 
 def kernel_matrix(xs: np.ndarray, ts, points: np.ndarray) -> np.ndarray:
     """(n, P) matrix of kernel values G(x_i - q_j, t_i).

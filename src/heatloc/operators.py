@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import KernelParams, SparseMeasure, _as_points, kernel_matrix
+from .field import SparseMeasure, _as_points, kernel_matrix
 
 __all__ = [
     "SampleSet",
@@ -112,10 +112,6 @@ class MeasurementOperator:
     def d(self) -> int:
         return self.samples.d
 
-    @property
-    def kernel(self) -> KernelParams:
-        return KernelParams(self.dim)
-
 
 def measure(op: MeasurementOperator, mu: SparseMeasure) -> np.ndarray:
     """Sample the field of ``mu`` at every point of the operator's sample set."""
@@ -167,9 +163,6 @@ class DualCertificate:
 
     def __call__(self, x):
         return certificate_eval(self.op, self.weights, x)
-
-    def gradient(self, x):
-        return certificate_gradient(self.op, self.weights, x)
 
     def gradient_bound(self) -> float:
         """Upper bound on |grad nu| over all of space (sum of per-term maxima)."""

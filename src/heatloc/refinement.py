@@ -188,7 +188,6 @@ class RefinementConfig:
     lo: np.ndarray
     hi: np.ndarray
     initial_points_per_dim: int = 16
-    peak_threshold: Callable[[int], float] = default_peak_threshold
     stop_tol: float | None = None          # default 1e-4 noiseless, 1e-6 noisy
     max_rounds: int = 12
     lasso_lambda: float | Callable[[np.ndarray], float] | None = None
@@ -274,7 +273,7 @@ def run_refinement(op: MeasurementOperator, b, cfg: RefinementConfig, noisy: boo
             stop_obj = outcome.dual_objective
 
         nu = A.entries.T @ outcome.dual
-        thr = cfg.peak_threshold(k)
+        thr = default_peak_threshold(k)
         sel_mask = np.abs(nu) >= thr
         selected = grid.points[sel_mask]
         diagnostics.append(

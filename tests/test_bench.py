@@ -93,8 +93,8 @@ class TestMatchSources:
     def test_matches_brute_force_on_random_instances(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
-            nt = int(rng.integers(1, 5))
-            ne = int(rng.integers(1, 5))
+            nt = int(rng.integers(1, 8))
+            ne = int(rng.integers(1, 8))
             truth = SparseMeasure(rng.uniform(0, 1, (nt, 2)), rng.standard_normal(nt))
             est = SparseMeasure(rng.uniform(0, 1, (ne, 2)), rng.standard_normal(ne))
             m = match_sources(truth, est)
@@ -102,10 +102,10 @@ class TestMatchSources:
                 truth.positions[:, None, :] - est.positions[None, :, :], axis=-1
             )
             r = min(nt, ne)
+            perms = np.array(list(itertools.permutations(range(ne), r)))
             best = min(
-                sum(D[i, j] for i, j in zip(rows, cols))
+                float(D[list(rows), perms].sum(axis=1).min())
                 for rows in itertools.combinations(range(nt), r)
-                for cols in itertools.permutations(range(ne), r)
             )
             assert m.total_cost == pytest.approx(best, abs=1e-12)
 
@@ -127,7 +127,8 @@ class TestRunScenario:
     def test_unknown_refinement_key_is_config_error(self):
         removed = ({"solver": {"check_every": 50}}, {"extraction_mesh_points": 8192},
                    {"final_threshold": 0.99}, {"cluster_gap": 0.1}, {"k_sources": 2},
-                   {"grad_max_iters": 200}, {"grad_tol": 1e-10}, {"kmeans_seed": 0})
+                   {"grad_max_iters": 200}, {"grad_tol": 1e-10}, {"kmeans_seed": 0},
+                   {"peak_threshold": 0.9})
         for refinement in removed:
             with pytest.raises(ConfigError, match="refinement"):
                 run_scenario(small_scenario(refinement=refinement))
@@ -298,6 +299,12 @@ class TestRunScenario:
             cfg.domain_lo, cfg.domain_hi, RefinementConfig.initial_points_per_dim
         )
         assert seen["lam"] == lasso_lambda_universal(cfg.snr_db, op, grid0.points)(b)
+
+    def test_unknown_penalty_rule_is_config_error(self):
+        for snr_db in (30.0, None):
+            cfg = small_scenario(snr_db=snr_db, refinement={"lasso_lambda": "noise-variance"})
+            with pytest.raises(ConfigError, match="unknown rule"):
+                run_scenario(cfg)
 
 
 class TestSynthesize:

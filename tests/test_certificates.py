@@ -183,6 +183,32 @@ class TestVerifySoftConditions:
         with pytest.raises(ValueError):
             verify_soft_conditions(_ExactBump(mu.positions[0], lam), mu, 0, lam)
 
+    @staticmethod
+    def _two_source_certificate():
+        lam = 1 / 16
+        mu = SparseMeasure.from_1d([-0.22, 0.31], [0.5, 0.5])
+        cfg = CertConfig(lam=lam, m=16, p_jackson=4, dim=1, mesh_points=1024)
+        return lam, mu, calibrated_certificate(cfg, mu, 0)
+
+    def test_rho_below_one_rejected(self):
+        lam, mu, approx = self._two_source_certificate()
+        with pytest.raises(ValueError, match="rho"):
+            verify_soft_conditions(approx.certificate, mu, 0, lam, rho=0.5, mesh_points=1024)
+
+    def test_noisy_bound_is_noisy_recovery_radius(self):
+        lam, mu, approx = self._two_source_certificate()
+        rep = verify_soft_conditions(
+            approx.certificate, mu, 0, lam, eps=1e-3, rho=1.05, mesh_points=1024
+        )
+        assert rep.feasible
+        expected = noisy_recovery_radius(rep.tau, rep.sigma, lam, rep.weight_norm, 1e-3, 1.05)
+        assert rep.bound_noisy == expected
+        vacuous = verify_soft_conditions(
+            approx.certificate, mu, 0, lam, eps=100.0, rho=1.05, mesh_points=1024
+        )
+        assert math.isnan(vacuous.bound_noisy)
+        assert not math.isnan(vacuous.bound_noiseless)
+
     def test_mesh_refinement_monotonicity(self):
         lam = 1 / 16
         mu = SparseMeasure(np.array([[0.21, -0.13]]), [1.0])

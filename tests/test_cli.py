@@ -113,5 +113,15 @@ class TestCli:
         assert lines[0] == "x,certificate"
         assert len(lines) == 1 + 1024
 
+    def test_certify_bad_values_are_config_errors(self, tmp_path, capsys):
+        cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / "certify_1d.json"
+        for override in ({"rho": 0.5}, {"m": 0}):
+            doc = json.loads(cfg.read_text())
+            doc.update(override)
+            path = tmp_path / "cert.json"
+            path.write_text(json.dumps(doc))
+            assert main(["certify", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+            assert "config error" in capsys.readouterr().err
+
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["bench", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 1

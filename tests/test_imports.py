@@ -1,0 +1,30 @@
+"""Importing the package or its CLI leaves SciPy unloaded.
+
+SciPy is needed only by ``bench.match_sources``, which imports it on call;
+loading ``scipy.optimize`` at import time used to be most of the start-up
+time of every ``heatloc`` command.
+"""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("module", ["heatloc", "heatloc.cli"])
+def test_import_does_not_load_scipy(module):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    code = (
+        f"import sys, {module}\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded[:5]\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr

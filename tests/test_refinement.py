@@ -13,6 +13,7 @@ from heatloc.operators import (
 from heatloc.refinement import (
     CandidateGrid,
     RefinementConfig,
+    default_peak_threshold,
     recover_amplitudes,
     refine_grid,
     run_refinement,
@@ -255,9 +256,8 @@ class TestRunRefinement:
         np.testing.assert_allclose(ratio, 3.7, rtol=1e-2)
 
     def test_threshold_schedule_values(self):
-        cfg = RefinementConfig(lo=[0.0], hi=[1.0])
-        assert cfg.peak_threshold(1) == pytest.approx(0.875)
-        assert cfg.peak_threshold(2) == pytest.approx(0.96875)
+        assert default_peak_threshold(1) == pytest.approx(0.875)
+        assert default_peak_threshold(2) == pytest.approx(0.96875)
 
     def test_solver_nonconvergence_flagged_with_best_effort(self):
         from heatloc.solvers import SolverConfig
