@@ -9,8 +9,8 @@ written to a separate sidecar file).
 
 from __future__ import annotations
 
-import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .baseline import Sl0Config, sl0_solve, validate_rho
-from .field import SparseMeasure, add_noise, evaluate_field
+from .field import SparseMeasure, add_noise, evaluate_field, tensor_points
 from .operators import (
     MeasurementOperator,
     SampleSet,
@@ -41,6 +41,7 @@ __all__ = [
     "MetricsRecord",
     "RunArtifacts",
     "load_config",
+    "load_configs",
     "dump_config",
     "build_truth",
     "build_operator",
@@ -123,20 +124,47 @@ def _validate(cfg: ScenarioConfig) -> None:
         raise ConfigError("; ".join(errs))
 
 
+def _read_json_object(path) -> dict:
+    """The JSON object in a file; malformed JSON or another top-level type is a config error."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got {type(raw).__name__}")
+    return raw
+
+
 def load_config(path_or_dict) -> ScenarioConfig:
     """Parse and validate a scenario config from a JSON file path or a dict."""
-    if isinstance(path_or_dict, dict):
-        raw = dict(path_or_dict)
-    else:
-        with open(path_or_dict, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+    raw = dict(path_or_dict) if isinstance(path_or_dict, dict) else _read_json_object(path_or_dict)
     known = {f.name for f in dataclasses.fields(ScenarioConfig)}
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     cfg = ScenarioConfig(**raw)
-    _validate(cfg)
+    try:
+        _validate(cfg)
+    except TypeError as exc:  # a value of the wrong type, such as a string count
+        raise ConfigError(f"wrong value type: {exc}") from exc
     return cfg
+
+
+def load_configs(path, seed: int | None = None) -> list[ScenarioConfig]:
+    """The scenarios of a JSON config file: the file itself, or one per ``sweep`` entry.
+
+    Each ``sweep`` entry overrides fields of the rest of the file.  A ``seed``
+    replaces every scenario's source and noise seeds.
+    """
+    raw = _read_json_object(path)
+    sweep = raw.pop("sweep", [{}])
+    if not isinstance(sweep, list) or not all(isinstance(o, dict) for o in sweep):
+        raise ConfigError("sweep: must be a list of objects")
+    docs = [raw | override for override in sweep]
+    if seed is not None:
+        docs = [doc | {"source_seed": seed, "noise_seed": seed} for doc in docs]
+    return [load_config(doc) for doc in docs]
 
 
 def dump_config(cfg: ScenarioConfig) -> str:
@@ -321,7 +349,7 @@ class RunArtifacts:
     operator: MeasurementOperator
     b: np.ndarray
     result: RecoveryResult | None  # refinement runs only
-    certificate_table: list  # rows (position..., certificate value)
+    certificate_table: np.ndarray | None  # rows (position..., certificate value); refinement only
     exit_code: int
 
 
@@ -329,12 +357,9 @@ def _field_rmse(truth: SparseMeasure, estimate: SparseMeasure, cfg: ScenarioConf
     lo = np.asarray(cfg.domain_lo, dtype=float)
     hi = np.asarray(cfg.domain_hi, dtype=float)
     n = cfg.eval_mesh if cfg.dim == 1 else min(cfg.eval_mesh, 128)
-    axes = [np.linspace(lo[j], hi[j], n) for j in range(cfg.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    f_true = evaluate_field(truth, pts, t)
-    f_est = evaluate_field(estimate, pts, t) if estimate.n_atoms else np.zeros(len(pts))
-    return float(np.sqrt(np.mean((f_true - f_est) ** 2)))
+    pts = tensor_points([np.linspace(lo[j], hi[j], n) for j in range(cfg.dim)])
+    err = evaluate_field(truth, pts, t) - evaluate_field(estimate, pts, t)
+    return float(np.sqrt(np.mean(err**2)))
 
 
 def _run_refinement_method(cfg, truth, op, b) -> tuple[SparseMeasure, RecoveryResult]:
@@ -348,7 +373,7 @@ def _run_refinement_method(cfg, truth, op, b) -> tuple[SparseMeasure, RecoveryRe
             **overrides,
         )
         solver = SolverConfig(**solver_overrides) if solver_overrides else None
-    except TypeError as exc:  # a key the config classes do not have
+    except (TypeError, ValueError) as exc:  # an unknown key or a value out of range
         raise ConfigError(f"refinement: {exc}") from exc
     if isinstance(rcfg.lasso_lambda, str) and rcfg.lasso_lambda != "universal":
         raise ConfigError(f"refinement.lasso_lambda: unknown rule {rcfg.lasso_lambda!r}")
@@ -366,16 +391,18 @@ def _run_baseline_method(cfg, truth, op, b) -> SparseMeasure:
     delta2 = length / cfg.n_sensors
     tau, _ = _sample_time(cfg)
     A = baseline_matrix(cfg.n_sensors, cfg.n_times, cfg.grid_size, tau, delta1, delta2)
-    x = sl0_solve(A, b, Sl0Config(**cfg.sl0))
+    try:
+        sl0 = Sl0Config(**cfg.sl0)
+    except (TypeError, ValueError) as exc:  # an unknown key or a value out of range
+        raise ConfigError(f"sl0: {exc}") from exc
+    x = sl0_solve(A, b, sl0)
     top = np.argsort(-np.abs(x))[: cfg.s]
     return SparseMeasure(A.points[np.sort(top)] + cfg.domain_lo[0], x[np.sort(top)])
 
 
-def run_scenario(cfg: ScenarioConfig, seed_override: int | None = None) -> RunArtifacts:
+def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
     """Synthesize, solve, and score one scenario; fully deterministic per config."""
     _validate(cfg)
-    if seed_override is not None:
-        cfg = dataclasses.replace(cfg, source_seed=seed_override, noise_seed=seed_override)
     start = time.perf_counter()
     truth, op, b = synthesize(cfg)
     tau, rho = _sample_time(cfg)
@@ -393,19 +420,15 @@ def run_scenario(cfg: ScenarioConfig, seed_override: int | None = None) -> RunAr
     )
     if result is not None:
         kkt = result.last_outcome.kkt
-        cert_rows = [
-            list(p) + [float(v)]
-            for p, v in zip(
-                result.final_grid,
-                np.real(result.certificate(result.final_grid)),
-            )
-        ]
+        cert_table = np.column_stack(
+            [result.final_grid, np.real(result.certificate(result.final_grid))]
+        )
         stopped, inner_ok = result.converged, result.solver_all_converged
         cert_held = kkt.certificate_bound <= 1e-6
         rounds = result.rounds
     else:
         kkt = None
-        cert_rows = []
+        cert_table = None
         stopped, inner_ok = True, True
         cert_held = True
         rounds = 0
@@ -448,7 +471,7 @@ def run_scenario(cfg: ScenarioConfig, seed_override: int | None = None) -> RunAr
         operator=op,
         b=b,
         result=result,
-        certificate_table=cert_rows,
+        certificate_table=cert_table,
         exit_code=0 if stopped and inner_ok else 2,
     )
 
@@ -467,18 +490,13 @@ def _atomic_write(path: str, data: str) -> None:
         raise
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
-
-
-def _csv_text(header: list[str], rows) -> str:
-    import io
-
+def _csv_text(header: list[str], table) -> str:
+    """A float table as CSV text: one header line, then rows at full precision."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) if isinstance(v, (int, float, np.floating)) else v for v in row])
+    np.savetxt(
+        buf, np.asarray(table, dtype=float), fmt="%.17g", delimiter=",",
+        header=",".join(header), comments="",
+    )
     return buf.getvalue()
 
 
@@ -504,22 +522,22 @@ def emit_results(artifacts: RunArtifacts, out_dir: str, cfg: ScenarioConfig | No
 
         dim = artifacts.truth.dim
         coord_names = ["x", "y"][:dim]
-        if artifacts.certificate_table:
+        if artifacts.certificate_table is not None:
             paths["certificate"] = os.path.join(out_dir, "certificate.csv")
             _atomic_write(
                 paths["certificate"],
                 _csv_text(coord_names + ["certificate"], artifacts.certificate_table),
             )
 
-        atom_rows = []
-        rec = artifacts.record
-        for (i, j), err in zip(rec.matched_pairs, rec.position_errors):
-            atom_rows.append(
-                list(rec.truth_positions[i])
-                + [rec.truth_amplitudes[i]]
-                + list(rec.estimate_positions[j])
-                + [rec.estimate_amplitudes[j], err]
-            )
+        truth, est = artifacts.truth, artifacts.estimate
+        i, j = np.asarray(artifacts.record.matched_pairs, dtype=np.intp).reshape(-1, 2).T
+        atoms = np.column_stack(
+            [
+                truth.positions[i], truth.amplitudes[i],
+                est.positions[j], est.amplitudes[j],
+                artifacts.record.position_errors,
+            ]
+        )
         header = (
             [f"true_{c}" for c in coord_names]
             + ["true_amplitude"]
@@ -527,24 +545,16 @@ def emit_results(artifacts: RunArtifacts, out_dir: str, cfg: ScenarioConfig | No
             + ["est_amplitude", "position_error"]
         )
         paths["atoms"] = os.path.join(out_dir, "atoms.csv")
-        _atomic_write(paths["atoms"], _csv_text(header, atom_rows))
+        _atomic_write(paths["atoms"], _csv_text(header, atoms))
 
         t = float(artifacts.operator.samples.ts[0])
         lo = np.asarray(cfg.domain_lo if cfg else np.min(artifacts.operator.samples.xs, axis=0), float)
         hi = np.asarray(cfg.domain_hi if cfg else np.max(artifacts.operator.samples.xs, axis=0), float)
         n = 256 if dim == 1 else 64
-        axes = [np.linspace(lo[j], hi[j], n) for j in range(dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        f_true = evaluate_field(artifacts.truth, pts, t)
-        f_est = (
-            evaluate_field(artifacts.estimate, pts, t)
-            if artifacts.estimate.n_atoms
-            else np.zeros(len(pts))
-        )
-        rows = [list(p) + [ft, fe] for p, ft, fe in zip(pts, f_true, f_est)]
+        pts = tensor_points([np.linspace(lo[k], hi[k], n) for k in range(dim)])
+        field = np.column_stack([pts, evaluate_field(truth, pts, t), evaluate_field(est, pts, t)])
         paths["field"] = os.path.join(out_dir, "field.csv")
-        _atomic_write(paths["field"], _csv_text(coord_names + ["field_true", "field_est"], rows))
+        _atomic_write(paths["field"], _csv_text(coord_names + ["field_true", "field_est"], field))
     except OSError as exc:
         raise OSError(f"failed writing results under {out_dir!r}: {exc}") from exc
     return paths

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .field import SparseMeasure
+from .field import SparseMeasure, tensor_points
 from .operators import (
     DictionaryMatrix,
     DualCertificate,
@@ -342,8 +342,7 @@ def _mesh_values(g, axes) -> np.ndarray:
         return np.asarray(g.on_mesh(axes))
     except (AttributeError, ValueError):
         pass
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    pts = tensor_points(axes)
     chunks = []
     for start in range(0, pts.shape[0], 262144):
         chunks.append(np.atleast_1d(g(pts[start : start + 262144])))

@@ -8,7 +8,6 @@ refinement stop rule did not fire or an inner solve did not converge
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -29,15 +28,15 @@ __all__ = ["main"]
 
 
 def _read_measurements(path: str) -> np.ndarray:
-    rows = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if "value" not in header:
             raise ConfigError(f"{path}: expected a CSV with a 'value' column")
-        for line in fh:
-            if line.strip():
-                rows.append(float(line.rsplit(",", 1)[-1]))
-    return np.asarray(rows)
+        lines = [line for line in fh if line.strip()]
+    try:
+        return np.asarray([float(line.rsplit(",", 1)[-1]) for line in lines])
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _write_measurements(path: str, b: np.ndarray) -> None:
@@ -45,10 +44,15 @@ def _write_measurements(path: str, b: np.ndarray) -> None:
     bench._atomic_write(path, "\n".join(lines) + "\n")
 
 
+def _load_one(args) -> bench.ScenarioConfig:
+    configs = bench.load_configs(args.config, args.seed)
+    if len(configs) != 1:
+        raise ConfigError(f"{args.command} runs one scenario; run a sweep with bench")
+    return configs[0]
+
+
 def _cmd_simulate(args) -> int:
-    cfg = bench.load_config(args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, source_seed=args.seed, noise_seed=args.seed)
+    cfg = _load_one(args)
     truth, op, b = bench.synthesize(cfg)
     os.makedirs(args.out, exist_ok=True)
     _write_measurements(os.path.join(args.out, "measurements.csv"), b)
@@ -66,9 +70,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    cfg = bench.load_config(args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, source_seed=args.seed, noise_seed=args.seed)
+    cfg = _load_one(args)
     b = _read_measurements(args.measurements)
     truth, op, _ = bench.synthesize(cfg)
     if b.shape[0] != op.d:
@@ -94,8 +96,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = bench._read_json_object(args.config)
     optional = {k: raw[k] for k in ("quadrature_points", "dim", "mesh_points") if k in raw}
     try:
         cert_cfg = CertConfig(
@@ -149,11 +150,10 @@ def _cmd_certify(args) -> int:
         pts = axis.reshape(-1, 1)
     else:
         pts = np.column_stack([axis, np.full_like(axis, float(report.p0[1]))])
-    vals = np.real(np.atleast_1d(approx.certificate(pts)))
-    rows = [list(p) + [v] for p, v in zip(pts, vals)]
+    table = np.column_stack([pts, np.real(np.atleast_1d(approx.certificate(pts)))])
     bench._atomic_write(
         os.path.join(args.out, "certificate.csv"),
-        bench._csv_text(["x", "y"][: cert_cfg.dim] + ["certificate"], rows),
+        bench._csv_text(["x", "y"][: cert_cfg.dim] + ["certificate"], table),
     )
     print(f"feasible={report.feasible} sigma={report.sigma:.6g} tau={report.tau:.6g}")
     return 0
@@ -164,22 +164,7 @@ def _json_float(x: float):
 
 
 def _cmd_bench(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if "sweep" in raw:
-        base = {k: v for k, v in raw.items() if k != "sweep"}
-        configs = []
-        for override in raw["sweep"]:
-            doc = dict(base)
-            doc.update(override)
-            configs.append(bench.load_config(doc))
-    else:
-        configs = [bench.load_config(raw)]
-    if args.seed is not None:
-        configs = [
-            dataclasses.replace(c, source_seed=args.seed, noise_seed=args.seed)
-            for c in configs
-        ]
+    configs = bench.load_configs(args.config, args.seed)
     arts = bench.run_sweep(configs, out_dir=args.out)
     code = 0
     for cfg, art in zip(configs, arts):

@@ -21,6 +21,7 @@ __all__ = [
     "KernelParams",
     "SparseMeasure",
     "kernel_matrix",
+    "tensor_points",
     "green_kernel",
     "evaluate_field",
     "tv_norm",
@@ -121,6 +122,12 @@ def kernel_matrix(xs: np.ndarray, ts, points: np.ndarray) -> np.ndarray:
     diff = xs[:, None, :] - points[None, :, :]
     r2 = np.einsum("npd,npd->np", diff, diff)
     return (4.0 * math.pi * ts) ** (-dim / 2.0) * np.exp(-r2 / (2.0 * ts))
+
+
+def tensor_points(axes) -> np.ndarray:
+    """(n_1 * ... * n_dim, dim) points of the tensor mesh of ``axes``, last axis fastest."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 def green_kernel(displacement, t: float, params: KernelParams):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import SparseMeasure, _as_points, kernel_matrix
+from .field import SparseMeasure, _as_points, kernel_matrix, tensor_points
 
 __all__ = [
     "SampleSet",
@@ -84,8 +84,7 @@ class SampleSet:
     def grid(cls, axes, t: float) -> "SampleSet":
         """Tensor product of per-axis sensor coordinates at a single time."""
         axes = tuple(np.asarray(a, dtype=float) for a in axes)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        xs = np.stack([m.ravel() for m in mesh], axis=-1)
+        xs = tensor_points(axes)
         ts = np.full(xs.shape[0], float(t))
         return cls(xs, ts, grid_axes=axes)
 

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .field import SparseMeasure
+from .field import SparseMeasure, tensor_points
 from .operators import DualCertificate, MeasurementOperator, build_dictionary
 from .solvers import SolveOutcome, SolverConfig, solve_l1_equality, solve_lasso
 
@@ -71,8 +71,7 @@ class CandidateGrid:
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
         axes = [l + np.arange(n_per_dim) * (h - l) / n_per_dim for l, h in zip(lo, hi)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
+        pts = tensor_points(axes)
         h0 = float(np.min((hi - lo) / n_per_dim))
         return cls(pts, np.full(pts.shape[0], h0), lo, hi)
 
@@ -86,44 +85,34 @@ class CandidateGrid:
 
 
 def refine_grid(grid: CandidateGrid, selected) -> CandidateGrid:
-    """Insert half-spacing neighbors around each selected point.
+    """Insert half-spacing neighbors around the points picked by a boolean mask.
 
-    1D adds the two points at +-h/2; 2D adds the 8 surrounding points of a
-    3x3 stencil at half spacing.  Out-of-domain candidates are clipped to the
-    domain, duplicates are dropped, and the previous grid is kept intact.
+    ``selected`` is a boolean mask over ``grid.points``.  Each selected point
+    with spacing h spawns the 3**dim stencil at offsets of -h/2, 0 and +h/2 per
+    axis, clipped to the domain: the two neighbors at +-h/2 in 1D, the 8
+    surrounding points in 2D.  Candidates that round to an existing point (or
+    to an earlier candidate) merge into it; every point takes the smallest
+    spacing among the candidates merged into it, so a selected point's own
+    spacing halves.  Existing points keep their order and new points follow
+    in order of first appearance.
     """
-    sel = np.atleast_2d(np.asarray(selected, dtype=float))
-    if sel.shape[0] == 0:
+    mask = np.asarray(selected)
+    if mask.dtype != bool or mask.shape != (grid.size,):
+        raise ValueError(f"selected must be a boolean mask of shape ({grid.size},)")
+    if not mask.any():
         return grid
-    dim = grid.dim
-    if dim == 1:
-        offsets = np.array([[-1.0], [1.0]])
-    else:
-        offs = [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if (i, j) != (0, 0)]
-        offsets = np.asarray(offs, dtype=float)
-
-    keys = {tuple(np.round(p, _KEY_DECIMALS)): i for i, p in enumerate(grid.points)}
-    new_points = list(grid.points)
-    new_spacing = list(grid.spacing)
-
-    for s in sel:
-        # the local resolution is that of the nearest existing grid point
-        d2 = np.einsum("pd,pd->p", grid.points - s, grid.points - s)
-        near = int(np.argmin(d2))
-        half = 0.5 * grid.spacing[near]
-        new_spacing[near] = min(new_spacing[near], half)
-        for off in offsets:
-            cand = np.clip(s + half * off, grid.lo, grid.hi)
-            key = tuple(np.round(cand, _KEY_DECIMALS))
-            if key in keys:
-                idx = keys[key]
-                new_spacing[idx] = min(new_spacing[idx], half)
-                continue
-            keys[key] = len(new_points)
-            new_points.append(cand)
-            new_spacing.append(half)
-
-    return CandidateGrid(np.asarray(new_points), np.asarray(new_spacing), grid.lo, grid.hi)
+    half = 0.5 * grid.spacing[mask]
+    stencil = tensor_points([[-1.0, 0.0, 1.0]] * grid.dim)
+    cand = np.clip(grid.points[mask, None, :] + half[:, None, None] * stencil, grid.lo, grid.hi)
+    pts = np.concatenate([grid.points, cand.reshape(-1, grid.dim)])
+    spacing = np.concatenate([grid.spacing, np.repeat(half, stencil.shape[0])])
+    _, first, inverse = np.unique(
+        np.round(pts, _KEY_DECIMALS), axis=0, return_index=True, return_inverse=True
+    )
+    folded = np.full(first.size, np.inf)
+    np.minimum.at(folded, inverse.reshape(-1), spacing)
+    order = np.argsort(first)  # distinct keys in order of first appearance
+    return CandidateGrid(pts[first[order]], folded[order], grid.lo, grid.hi)
 
 
 def select_peaks_1d(positions, coefficients, width: float) -> np.ndarray:
@@ -198,6 +187,8 @@ class RefinementConfig:
         self.hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
         if self.stop_tol is not None and self.stop_tol <= 0:
             raise ValueError("stop_tol must be positive")
+        if self.initial_points_per_dim < 1 or self.max_rounds < 1:
+            raise ValueError("initial_points_per_dim and max_rounds must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -275,7 +266,6 @@ def run_refinement(op: MeasurementOperator, b, cfg: RefinementConfig, noisy: boo
         nu = A.entries.T @ outcome.dual
         thr = default_peak_threshold(k)
         sel_mask = np.abs(nu) >= thr
-        selected = grid.points[sel_mask]
         diagnostics.append(
             RoundDiagnostics(
                 round=k,
@@ -292,11 +282,11 @@ def run_refinement(op: MeasurementOperator, b, cfg: RefinementConfig, noisy: boo
             stopped_by = "objective_stall"
             break
         prev_obj = stop_obj
-        if selected.shape[0] == 0:
+        if not sel_mask.any():
             stopped_by = "empty_selection"
             break
         if k < cfg.max_rounds:
-            grid = refine_grid(grid, selected)
+            grid = refine_grid(grid, sel_mask)
 
     certificate = DualCertificate(op, outcome.dual)
 

@@ -7,6 +7,7 @@ from scipy.optimize import least_squares, linprog, minimize
 
 from heatloc.field import SparseMeasure
 from heatloc.operators import measure
+from heatloc.refinement import _KEY_DECIMALS, CandidateGrid
 
 
 def min_l1_equality_lp(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -100,3 +101,41 @@ def nlls_oracle(op, b: np.ndarray, truth: SparseMeasure) -> SparseMeasure:
     start = np.concatenate([truth.positions.ravel(), truth.amplitudes])
     fit = least_squares(residual, start, xtol=1e-12, ftol=1e-12, gtol=1e-12)
     return unpack(fit.x)
+
+
+def refine_grid_loop(grid: CandidateGrid, selected) -> CandidateGrid:
+    """Grid refinement one selected position at a time, with a key dict.
+
+    ``selected`` holds positions (S, dim).  Each one takes the spacing of its
+    nearest grid point, halves it, and tries its 2 (1D) or 8 (2D) half-spacing
+    neighbours, clipped to the domain; a neighbour whose rounded key is known
+    only lowers that point's spacing, any other is appended.
+    """
+    sel = np.atleast_2d(np.asarray(selected, dtype=float))
+    if sel.shape[0] == 0:
+        return grid
+    if grid.dim == 1:
+        offsets = np.array([[-1.0], [1.0]])
+    else:
+        offs = [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if (i, j) != (0, 0)]
+        offsets = np.asarray(offs, dtype=float)
+
+    keys = {tuple(np.round(p, _KEY_DECIMALS)): i for i, p in enumerate(grid.points)}
+    new_points = list(grid.points)
+    new_spacing = list(grid.spacing)
+    for s in sel:
+        d2 = np.einsum("pd,pd->p", grid.points - s, grid.points - s)
+        near = int(np.argmin(d2))
+        half = 0.5 * grid.spacing[near]
+        new_spacing[near] = min(new_spacing[near], half)
+        for off in offsets:
+            cand = np.clip(s + half * off, grid.lo, grid.hi)
+            key = tuple(np.round(cand, _KEY_DECIMALS))
+            if key in keys:
+                idx = keys[key]
+                new_spacing[idx] = min(new_spacing[idx], half)
+                continue
+            keys[key] = len(new_points)
+            new_points.append(cand)
+            new_spacing.append(half)
+    return CandidateGrid(np.asarray(new_points), np.asarray(new_spacing), grid.lo, grid.hi)

@@ -14,6 +14,7 @@ from heatloc.bench import (
     emit_results,
     lasso_lambda_universal,
     load_config,
+    load_configs,
     match_sources,
     run_scenario,
     run_sweep,
@@ -265,11 +266,13 @@ class TestRunScenario:
         assert len(art.record.estimate_positions) == 3
         assert art.record.rho_valid
 
-    def test_seed_override(self):
+    def test_seed_override(self, tmp_path):
         cfg = small_scenario(source_mode="off_grid", source_positions=None, snr_db=20.0)
-        a1 = run_scenario(cfg, seed_override=7)
-        a2 = run_scenario(cfg, seed_override=7)
-        a3 = run_scenario(cfg, seed_override=8)
+        path = tmp_path / "scenario.json"
+        path.write_text(dump_config(cfg))
+        a1 = run_scenario(*load_configs(path, seed=7))
+        a2 = run_scenario(*load_configs(path, seed=7))
+        a3 = run_scenario(*load_configs(path, seed=8))
         assert a1.record.to_dict() == a2.record.to_dict()
         assert a1.record.truth_positions != a3.record.truth_positions
 

@@ -2,6 +2,8 @@ import json
 import math
 import pathlib
 
+import pytest
+
 from heatloc.cli import main
 
 
@@ -89,6 +91,41 @@ class TestCli:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"name": "x", "dim": 5}))
         assert main(["bench", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config, measurements",
+        [
+            ("{not json", None),
+            ("[1, 2]", None),
+            ({"s": "3"}, None),
+            ({"domain_lo": 0.0}, None),
+            ({"refinement": {"solver": {"max_iters": 0}}}, None),
+            ({"method": "baseline", "sl0": {"step_mu": -1}}, None),
+            ({"method": "baseline", "sl0": {"bogus": 1}}, None),
+            ({"refinement": {"initial_points_per_dim": 0}}, None),
+            ({"refinement": {"max_rounds": 0}}, None),
+            ({"sweep": [5]}, None),
+            ({}, "index,value\n0,0.5\n1,abc\n"),
+        ],
+        ids=[
+            "malformed_json", "json_list", "string_count", "scalar_domain",
+            "solver_max_iters_0", "sl0_negative_step", "sl0_unknown_key",
+            "initial_points_0", "max_rounds_0", "sweep_entry_not_object",
+            "non_numeric_measurement",
+        ],
+    )
+    def test_bad_inputs_are_config_errors(self, tmp_path, capsys, config, measurements):
+        # bench (or solve, given measurements) exits 1 with a message, not a traceback
+        path = pathlib.Path(write_scenario(tmp_path, **({} if isinstance(config, str) else config)))
+        if isinstance(config, str):
+            path.write_text(config)
+        argv = ["bench", "--config", str(path), "--out", str(tmp_path / "o")]
+        if measurements is not None:
+            csv = tmp_path / "measurements.csv"
+            csv.write_text(measurements)
+            argv = ["solve", "--measurements", str(csv)] + argv[1:]
+        assert main(argv) == 1
         assert "config error" in capsys.readouterr().err
 
     def test_certify(self, tmp_path):

@@ -21,7 +21,7 @@ from heatloc.refinement import (
     select_peaks_2d,
 )
 
-from oracles import min_l1_equality_lp, min_norm_certificate
+from oracles import min_l1_equality_lp, min_norm_certificate, refine_grid_loop
 
 
 def reference_op_1d(rho=1.8125, n_sensors=16, length=2 * math.pi):
@@ -99,22 +99,28 @@ class TestSelectPeaks2d:
         assert flat.tobytes() == column.tobytes()
 
 
+def _mask(grid, indices):
+    mask = np.zeros(grid.size, dtype=bool)
+    mask[indices] = True
+    return mask
+
+
 class TestRefineGrid:
     def test_1d_inserts_half_spacing_neighbors(self):
         grid = CandidateGrid.uniform([0.0], [4.0], 4)  # points 0,1,2,3 spacing 1
-        out = refine_grid(grid, np.array([[2.0]]))
+        out = refine_grid(grid, grid.points[:, 0] == 2.0)
         new = set(np.round(out.points.ravel(), 9)) - set(np.round(grid.points.ravel(), 9))
         assert new == {1.5, 2.5}
         assert out.spacing[list(out.points.ravel()).index(2.0)] == 0.5
 
     def test_2d_inserts_stencil(self):
         grid = CandidateGrid.uniform([0.0, 0.0], [4.0, 4.0], 4)
-        out = refine_grid(grid, np.array([[2.0, 2.0]]))
+        out = refine_grid(grid, np.all(grid.points == [2.0, 2.0], axis=1))
         assert out.size == grid.size + 8
 
     def test_clipped_at_boundary(self):
         grid = CandidateGrid.uniform([0.0], [4.0], 4)
-        out = refine_grid(grid, np.array([[0.0]]))
+        out = refine_grid(grid, grid.points[:, 0] == 0.0)
         assert out.points.min() >= 0.0
         new = set(np.round(out.points.ravel(), 9)) - set(np.round(grid.points.ravel(), 9))
         assert new == {0.5}  # the -0.5 candidate clips onto the existing 0.0
@@ -124,8 +130,8 @@ class TestRefineGrid:
         grid = CandidateGrid.uniform([0.0], [1.0], 8)
         for _ in range(4):
             old = {tuple(np.round(p, 9)) for p in grid.points}
-            sel = grid.points[rng.choice(grid.size, 2, replace=False)]
-            grid = refine_grid(grid, sel)
+            sel = rng.choice(grid.size, 2, replace=False)
+            grid = refine_grid(grid, _mask(grid, sel))
             new = {tuple(np.round(p, 9)) for p in grid.points}
             assert old <= new
 
@@ -133,9 +139,42 @@ class TestRefineGrid:
         grid = CandidateGrid.uniform([0.0], [2 * math.pi], 16)
         rng = np.random.default_rng(1)
         for _ in range(6):
-            sel = grid.points[rng.choice(grid.size, min(5, grid.size), replace=False)]
-            grid = refine_grid(grid, sel)
+            sel = rng.choice(grid.size, min(5, grid.size), replace=False)
+            grid = refine_grid(grid, _mask(grid, sel))
         assert np.unique(np.round(grid.points, 9), axis=0).shape[0] == grid.size
+
+    def test_selection_must_be_a_mask(self):
+        # positions or indices in place of the mask are refused, not misread
+        grid = CandidateGrid.uniform([0.0], [4.0], 4)
+        for selected in (np.array([[2.0]]), np.array([2]), np.ones(3, dtype=bool), np.ones(4)):
+            with pytest.raises(ValueError):
+                refine_grid(grid, selected)
+
+    def test_empty_mask_keeps_grid(self):
+        grid = CandidateGrid.uniform([0.0, 0.0], [1.0, 1.0], 4)
+        assert refine_grid(grid, np.zeros(grid.size, dtype=bool)) is grid
+
+    @pytest.mark.parametrize(
+        "lo, hi, n",
+        [
+            ([0.0], [2 * math.pi], 16),
+            ([-1.3], [2.7], 9),
+            ([0.0, 0.0], [1.0, 1.0], 8),
+            ([-1.0, 0.5], [2.0, 3.5], 7),
+        ],
+    )
+    def test_matches_loop_oracle(self, lo, hi, n):
+        # random refine sequences give the same bytes as the one-point-at-a-time rule
+        rng = np.random.default_rng(len(lo) * 100 + n)
+        for _ in range(20):
+            fast = slow = CandidateGrid.uniform(lo, hi, n)
+            for _ in range(7):
+                mask = _mask(fast, rng.choice(fast.size, rng.integers(1, 9), replace=False))
+                mask |= rng.random(fast.size) < 0.02
+                fast = refine_grid(fast, mask)
+                slow = refine_grid_loop(slow, slow.points[mask])
+                assert fast.points.tobytes() == slow.points.tobytes()
+                assert fast.spacing.tobytes() == slow.spacing.tobytes()
 
 
 class TestRecoverAmplitudes:
