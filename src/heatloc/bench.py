@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .baseline import Sl0Config, sl0_solve, validate_rho
-from .field import SparseMeasure, add_noise, evaluate_field, tensor_points
+from .field import SparseMeasure, _is_count, add_noise, evaluate_field, tensor_points
 from .operators import (
     MeasurementOperator,
     SampleSet,
@@ -86,6 +86,10 @@ class ScenarioConfig:
 
 
 def _validate(cfg: ScenarioConfig) -> None:
+    counts = ("dim", "s", "grid_size", "n_sensors", "n_times", "eval_mesh", "source_seed", "noise_seed")
+    not_counts = [k for k in counts if not _is_count(getattr(cfg, k))]
+    if not_counts:
+        raise ConfigError(f"{', '.join(not_counts)}: must be integers")
     errs = []
     if cfg.schema_version != SCHEMA_VERSION:
         errs.append(f"schema_version: expected {SCHEMA_VERSION}, got {cfg.schema_version}")
@@ -146,8 +150,9 @@ def load_config(path_or_dict) -> ScenarioConfig:
     cfg = ScenarioConfig(**raw)
     try:
         _validate(cfg)
-    except TypeError as exc:  # a value of the wrong type, such as a string count
+    except TypeError as exc:  # a value of the wrong type, such as a scalar domain bound
         raise ConfigError(f"wrong value type: {exc}") from exc
+    _method_config(cfg)
     return cfg
 
 
@@ -362,25 +367,40 @@ def _field_rmse(truth: SparseMeasure, estimate: SparseMeasure, cfg: ScenarioConf
     return float(np.sqrt(np.mean(err**2)))
 
 
-def _run_refinement_method(cfg, truth, op, b) -> tuple[SparseMeasure, RecoveryResult]:
-    noisy = cfg.snr_db is not None and not math.isinf(cfg.snr_db)
-    overrides = dict(cfg.refinement)
-    solver_overrides = overrides.pop("solver", None)
+def _method_config(cfg: ScenarioConfig) -> RefinementConfig | Sl0Config:
+    """The config of the scenario's method, built from its section.
+
+    A bad key or value is a config error.  A noisy run's universal penalty
+    needs the operator, so ``lasso_lambda`` stays as the section gives it.
+    """
+    if cfg.method == "baseline":
+        try:
+            return Sl0Config(**cfg.sl0)
+        except (TypeError, ValueError) as exc:  # an unknown key or a value out of range
+            raise ConfigError(f"sl0: {exc}") from exc
     try:
+        overrides = dict(cfg.refinement)
+        solver_overrides = overrides.pop("solver", None)
+        solver = SolverConfig(**solver_overrides) if solver_overrides else None
         rcfg = RefinementConfig(
             lo=np.asarray(cfg.domain_lo, dtype=float),
             hi=np.asarray(cfg.domain_hi, dtype=float),
+            solver=solver,
             **overrides,
         )
-        solver = SolverConfig(**solver_overrides) if solver_overrides else None
     except (TypeError, ValueError) as exc:  # an unknown key or a value out of range
         raise ConfigError(f"refinement: {exc}") from exc
     if isinstance(rcfg.lasso_lambda, str) and rcfg.lasso_lambda != "universal":
         raise ConfigError(f"refinement.lasso_lambda: unknown rule {rcfg.lasso_lambda!r}")
+    return rcfg
+
+
+def _run_refinement_method(cfg, truth, op, b) -> tuple[SparseMeasure, RecoveryResult]:
+    noisy = cfg.snr_db is not None and not math.isinf(cfg.snr_db)
+    rcfg = _method_config(cfg)
     if noisy and (rcfg.lasso_lambda is None or rcfg.lasso_lambda == "universal"):
         grid0 = CandidateGrid.uniform(rcfg.lo, rcfg.hi, rcfg.initial_points_per_dim)
         rcfg.lasso_lambda = lasso_lambda_universal(cfg.snr_db, op, grid0.points)
-    rcfg.solver = solver
     result = run_refinement(op, b, rcfg, noisy)
     return result.estimate, result
 
@@ -391,11 +411,7 @@ def _run_baseline_method(cfg, truth, op, b) -> SparseMeasure:
     delta2 = length / cfg.n_sensors
     tau, _ = _sample_time(cfg)
     A = baseline_matrix(cfg.n_sensors, cfg.n_times, cfg.grid_size, tau, delta1, delta2)
-    try:
-        sl0 = Sl0Config(**cfg.sl0)
-    except (TypeError, ValueError) as exc:  # an unknown key or a value out of range
-        raise ConfigError(f"sl0: {exc}") from exc
-    x = sl0_solve(A, b, sl0)
+    x = sl0_solve(A, b, _method_config(cfg))
     top = np.argsort(-np.abs(x))[: cfg.s]
     return SparseMeasure(A.points[np.sort(top)] + cfg.domain_lo[0], x[np.sort(top)])
 
@@ -420,9 +436,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
     )
     if result is not None:
         kkt = result.last_outcome.kkt
-        cert_table = np.column_stack(
-            [result.final_grid, np.real(result.certificate(result.final_grid))]
-        )
+        cert_table = np.column_stack([result.final_grid, result.certificate(result.final_grid)])
         stopped, inner_ok = result.converged, result.solver_all_converged
         cert_held = kkt.certificate_bound <= 1e-6
         rounds = result.rounds

@@ -5,7 +5,9 @@ arbitrary point by a combination of equally wide Gaussians centered on a
 uniform sample grid.  The combination coefficients come from approximating a
 plane wave by a trigonometric polynomial via convolution with a Jackson
 kernel; their l2 norm never exceeds 1, and the uniform approximation error
-decays like one over the grid half-density.
+decays like one over the grid half-density.  The Jackson multipliers and the
+wave's Fourier coefficients are computed in closed form, and both are real,
+so the weights, the certificate and its meshes are real too.
 
 With such a certificate in hand, the three soft-recovery conditions (anchor
 value at least 1, point bound sigma, off-support bound 1 - tau) are checked
@@ -22,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .field import SparseMeasure, tensor_points
+from .field import SparseMeasure, _is_count, tensor_points
 from .operators import (
     DictionaryMatrix,
     DualCertificate,
@@ -48,9 +50,6 @@ __all__ = [
     "smallest_feasible_m",
 ]
 
-_NORM_CACHE: dict[tuple[int, int], float] = {}
-_MULT_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
 
 @dataclass(frozen=True)
 class CertConfig:
@@ -64,26 +63,24 @@ class CertConfig:
     lam: float
     m: int
     p_jackson: int
-    quadrature_points: int = 4096
     dim: int = 2
     mesh_points: int = 2048
 
     def __post_init__(self) -> None:
+        if not all(map(_is_count, (self.m, self.p_jackson, self.dim, self.mesh_points))):
+            raise ValueError("m, p_jackson, dim and mesh_points must be integers")
         if self.lam <= 0:
             raise ValueError("width parameter lam must be positive")
-        if self.m < 1 or self.p_jackson < 1 or self.quadrature_points < 64:
-            raise ValueError("m, p_jackson and quadrature_points must be positive")
+        if self.m < 1 or self.p_jackson < 1:
+            raise ValueError("m and p_jackson must be positive")
+        if self.mesh_points < 2:
+            raise ValueError("mesh_points must be >= 2")
         if self.dim not in (1, 2):
             raise ValueError("dim must be 1 or 2")
 
     @property
     def t(self) -> float:
         return 2.0 * self.lam
-
-
-def _jackson_nodes(p: int, n_quad: int) -> np.ndarray:
-    n = max(n_quad, 8 * p)
-    return -math.pi + 2.0 * math.pi * np.arange(n) / n
 
 
 def _jackson_raw(p: int, x: np.ndarray) -> np.ndarray:
@@ -96,64 +93,46 @@ def _jackson_raw(p: int, x: np.ndarray) -> np.ndarray:
     return ratio**4
 
 
-def _jackson_norm(p: int, n_quad: int) -> float:
-    key = (p, max(n_quad, 8 * p))
-    if key not in _NORM_CACHE:
-        nodes = _jackson_nodes(p, n_quad)
-        integral = 2.0 * math.pi * float(np.mean(_jackson_raw(p, nodes)))
-        _NORM_CACHE[key] = 1.0 / integral
-    return _NORM_CACHE[key]
-
-
 def jackson_kernel(p: int, x) -> np.ndarray | float:
     """Fourth-power trigonometric kernel on [-pi, pi], normalized to unit integral."""
     if p < 1:
         raise ValueError("kernel order p must be >= 1")
     arr = np.asarray(x, dtype=float)
-    vals = _jackson_norm(p, 4096) * _jackson_raw(p, arr)
+    a0 = p * (2 * p * p + 1) / 3.0  # constant Fourier coefficient of _jackson_raw
+    vals = _jackson_raw(p, arr) / (2.0 * math.pi * a0)
     return float(vals) if np.isscalar(x) or arr.ndim == 0 else vals
 
 
-def _jackson_multiplier(p: int, n_quad: int) -> np.ndarray:
-    """Fourier multipliers m_p(n) = int J_p(x) exp(-i n x) dx for n = 0..2p.
+def _jackson_multiplier(p: int) -> np.ndarray:
+    """Fourier multipliers m_p(n) = int J_p(x) exp(-i n x) dx for n = -2p..2p.
 
-    The quadrature is exact: the integrands are trigonometric polynomials of
-    degree below the node count.
+    (sin(p x/2) / sin(x/2))**2 is the Fejer sum of (p - |k|) exp(i k x) over
+    |k| < p, so the fourth power has the triangle's autoconvolution a_n as
+    its coefficients, and m_p(n) = a_n / a_0 (zero for |n| = 2p - 1 and 2p).
     """
-    key = (p, max(n_quad, 8 * p))
-    if key not in _MULT_CACHE:
-        nodes = _jackson_nodes(p, n_quad)
-        vals = _jackson_norm(p, n_quad) * _jackson_raw(p, nodes)
-        n = np.arange(2 * p + 1)
-        phase = np.exp(-1j * n[:, None] * nodes[None, :])
-        mult = 2.0 * math.pi * (phase @ vals) / nodes.size
-        _MULT_CACHE[key] = np.real(mult)
-    return _MULT_CACHE[key]
+    tri = p - np.abs(np.arange(1 - p, p))
+    a = np.pad(np.convolve(tri, tri), 2)
+    return a / float(a[2 * p])
 
 
-def _prolonged_wave(delta: float, theta: np.ndarray) -> np.ndarray:
-    """Plane wave exp(i*delta*theta) on [-pi/2, pi/2], linearly bridged to its
-    periodic continuation on [pi/2, 3pi/2]; 2*pi periodic and Lipschitz.
+def _wave_coeffs(delta: float, p: int) -> np.ndarray:
+    """Fourier coefficients, n = -2p..2p, of the prolonged plane wave.
+
+    The wave is exp(i*delta*theta) on [-pi/2, pi/2], linearly bridged to its
+    periodic continuation on [pi/2, 3pi/2]: 2*pi periodic, Lipschitz, and
+    w(-theta) = conj w(theta), so its coefficients are real.  With
+    c = cos(pi*delta/2) and s = sin(pi*delta/2), the wave part contributes
+    pi*sinc((delta - n)/2) and the bridge pi*c at n = 0,
+    (-1)**(n/2) * 2s/n at even n and (-1)**((n-1)/2) * (4s/(pi n**2) - 2c/n)
+    at odd n; the sum is divided by 2*pi.
     """
-    th = np.mod(theta + 0.5 * math.pi, 2.0 * math.pi) - 0.5 * math.pi
-    out = np.empty(th.shape, dtype=complex)
-    wave = th <= 0.5 * math.pi
-    out[wave] = np.exp(1j * delta * th[wave])
-    left = np.exp(1j * math.pi * delta / 2.0)
-    right = np.exp(-1j * math.pi * delta / 2.0)
-    slope = (right - left) / math.pi
-    out[~wave] = left + (th[~wave] - 0.5 * math.pi) * slope
-    return out
-
-
-def _wave_coeffs(delta: float, p: int, n_quad: int) -> np.ndarray:
-    """Fourier coefficients of the prolonged plane wave for n = -2p..2p."""
-    n_nodes = max(n_quad, 8 * p)
-    theta = -math.pi + 2.0 * math.pi * np.arange(n_nodes) / n_nodes
-    vals = _prolonged_wave(delta, theta)
     n = np.arange(-2 * p, 2 * p + 1)
-    phase = np.exp(-1j * n[:, None] * theta[None, :])
-    return (phase @ vals) / n_nodes
+    c, s = math.cos(0.5 * math.pi * delta), math.sin(0.5 * math.pi * delta)
+    nz = np.where(n == 0, 1, n)
+    bridge = np.where(n % 2 == 0, 2.0 * s / nz, 4.0 * s / (math.pi * nz**2) - 2.0 * c / nz)
+    bridge *= 1 - 2 * ((n // 2) % 2)
+    bridge[n == 0] = math.pi * c
+    return (math.pi * np.sinc(0.5 * (delta - n)) + bridge) / (2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -165,10 +144,7 @@ class JacksonCoefficients:
 
     @property
     def norm(self) -> float:
-        out = 1.0
-        for a in self.axes:
-            out *= float(np.linalg.norm(a))
-        return out
+        return math.prod(float(np.linalg.norm(a)) for a in self.axes)
 
     def dense(self) -> np.ndarray:
         if len(self.axes) == 1:
@@ -176,24 +152,23 @@ class JacksonCoefficients:
         return np.outer(self.axes[0], self.axes[1])
 
 
-def jackson_coefficients(delta, p: int, n_quad: int = 4096) -> JacksonCoefficients:
+def jackson_coefficients(delta, p: int) -> JacksonCoefficients:
     """Coefficients approximating exp(i*delta.omega) by sum c_n exp(i*n.omega).
 
     ``delta`` must lie in [-1/2, 1/2] per coordinate.  The approximation is
     uniform over [-pi/2, pi/2] per axis with error O(1/p), and the coefficient
-    vector always satisfies |c|_2 <= 1 (up to quadrature round-off).
+    vector always satisfies |c|_2 <= 1 (up to round-off).
     """
     if p < 1:
         raise ValueError("kernel order p must be >= 1")
     d = np.atleast_1d(np.asarray(delta, dtype=float))
     if np.any(np.abs(d) > 0.5):
         raise ValueError(f"delta must lie in [-1/2, 1/2] per coordinate, got {d}")
-    mult = _jackson_multiplier(p, n_quad)
-    full_mult = mult[np.abs(np.arange(-2 * p, 2 * p + 1))]
-    axes = tuple(_wave_coeffs(dj, p, n_quad) * full_mult for dj in d)
+    mult = _jackson_multiplier(p)
+    axes = tuple(_wave_coeffs(dj, p) * mult for dj in d)
     coeffs = JacksonCoefficients(axes, np.arange(-2 * p, 2 * p + 1))
     if coeffs.norm > 1.0 + 1e-8:
-        raise RuntimeError(f"coefficient norm {coeffs.norm} exceeds 1; quadrature too coarse")
+        raise RuntimeError(f"coefficient norm {coeffs.norm} exceeds 1")
     return coeffs
 
 
@@ -214,7 +189,6 @@ class CertificateApproximation:
     tail_bound: float
     coeff_norm: float
     weight_norm: float
-    imag_residue: float
 
     def scaled(self, factor: float) -> "CertificateApproximation":
         cert = DualCertificate(self.certificate.op, self.certificate.weights * factor)
@@ -225,7 +199,6 @@ class CertificateApproximation:
             sup_error=self.sup_error * factor,
             tail_bound=self.tail_bound * factor,
             weight_norm=self.weight_norm * factor,
-            imag_residue=self.imag_residue * factor,
         )
 
 
@@ -255,7 +228,7 @@ def build_certificate_g(cfg: CertConfig, p0, scale: float = 1.0) -> CertificateA
 
     n0 = np.rint(p0 * cfg.m).astype(int)
     delta = p0 * cfg.m - n0
-    coeffs = jackson_coefficients(delta, cfg.p_jackson, cfg.quadrature_points)
+    coeffs = jackson_coefficients(delta, cfg.p_jackson)
     idx_axes = [n0[j] + coeffs.offsets + cfg.m for j in range(cfg.dim)]
     for idx in idx_axes:
         if idx.min() < 0 or idx.max() > 2 * cfg.m:
@@ -264,14 +237,8 @@ def build_certificate_g(cfg: CertConfig, p0, scale: float = 1.0) -> CertificateA
                 "need m >= 4*p_jackson (plus room for p0 away from the center)"
             )
     pref_inv = (4.0 * math.pi * t) ** (cfg.dim / 2.0)
-    if cfg.dim == 1:
-        w = np.zeros(2 * cfg.m + 1, dtype=complex)
-        w[idx_axes[0]] = scale * pref_inv * coeffs.axes[0]
-    else:
-        w = np.zeros((2 * cfg.m + 1, 2 * cfg.m + 1), dtype=complex)
-        w[np.ix_(idx_axes[0], idx_axes[1])] = (
-            scale * pref_inv * np.outer(coeffs.axes[0], coeffs.axes[1])
-        )
+    w = np.zeros((2 * cfg.m + 1,) * cfg.dim)
+    w[np.ix_(*idx_axes)] = scale * pref_inv * coeffs.dense()
     cert = DualCertificate(op, w.ravel())
 
     lam1 = float(np.sum(np.abs(cert.weights)))
@@ -292,17 +259,14 @@ def build_certificate_g(cfg: CertConfig, p0, scale: float = 1.0) -> CertificateA
         tail_bound=tail,
         coeff_norm=coeffs.norm,
         weight_norm=weight_norm,
-        imag_residue=float(np.max(np.abs(np.imag(g_mesh)))),
     )
 
 
 def calibrated_certificate(cfg: CertConfig, mu0: SparseMeasure, i0: int) -> CertificateApproximation:
     """Certificate at atom i0 of mu0, scaled so the anchor condition holds with equality."""
-    _check_normalized(mu0)
+    _check_measure(mu0, i0)
     base = build_certificate_g(cfg, mu0.positions[i0], scale=1.0)
-    anchor = float(
-        np.sum(mu0.amplitudes * np.real(np.atleast_1d(base.certificate(mu0.positions))))
-    )
+    anchor = float(np.sum(mu0.amplitudes * np.atleast_1d(base.certificate(mu0.positions))))
     if anchor <= 0:
         raise ValueError("unit-scale certificate has non-positive anchor; grid too coarse")
     return base.scaled(1.0 / anchor)
@@ -328,9 +292,11 @@ class CertificateReport:
     i0: int
 
 
-def _check_normalized(mu0: SparseMeasure) -> None:
+def _check_measure(mu0: SparseMeasure, i0) -> None:
     if mu0.n_atoms == 0:
         raise ValueError("measure must have at least one atom")
+    if not (_is_count(i0) and 0 <= i0 < mu0.n_atoms):
+        raise ValueError(f"i0 must be an atom index in 0..{mu0.n_atoms - 1}, got {i0!r}")
     if np.any(mu0.amplitudes <= 0):
         raise ValueError("soft-recovery conditions assume positive amplitudes")
     if abs(float(np.sum(mu0.amplitudes)) - 1.0) > 1e-9:
@@ -371,7 +337,7 @@ def verify_soft_conditions(
     :func:`noisy_recovery_radius` (so ``rho >= 1`` and ``eps >= 0``), NaN
     when its level is not positive.
     """
-    _check_normalized(mu0)
+    _check_measure(mu0, i0)
     if lam <= 0:
         raise ValueError("width parameter lam must be positive")
     if rho < 1.0:
@@ -381,8 +347,8 @@ def verify_soft_conditions(
     p0 = mu0.positions[i0]
 
     at_atoms = np.atleast_1d(g(mu0.positions))
-    anchor = float(np.sum(mu0.amplitudes * np.real(at_atoms)))
-    g0 = complex(np.asarray(g(p0)).item())
+    anchor = float(np.sum(mu0.amplitudes * at_atoms))
+    g0 = float(np.asarray(g(p0)).item())
     sigma = abs(g0)
 
     weights = getattr(g, "weights", None)

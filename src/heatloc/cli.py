@@ -95,9 +95,18 @@ def _cmd_solve(args) -> int:
     return code
 
 
+_CERTIFY_KEYS = {
+    "lam", "m", "p_jackson", "dim", "mesh_points",
+    "source_positions", "source_amplitudes", "i0", "eps", "rho",
+}
+
+
 def _cmd_certify(args) -> int:
     raw = bench._read_json_object(args.config)
-    optional = {k: raw[k] for k in ("quadrature_points", "dim", "mesh_points") if k in raw}
+    unknown = set(raw) - _CERTIFY_KEYS
+    if unknown:
+        raise ConfigError(f"certify config: unknown fields {sorted(unknown)}")
+    optional = {k: raw[k] for k in ("dim", "mesh_points") if k in raw}
     try:
         cert_cfg = CertConfig(
             lam=raw["lam"],
@@ -107,7 +116,7 @@ def _cmd_certify(args) -> int:
         )
         positions = np.asarray(raw["source_positions"], dtype=float)
         amplitudes = np.asarray(raw["source_amplitudes"], dtype=float)
-        i0 = int(raw.get("i0", 0))
+        i0 = raw.get("i0", 0)
         eps = float(raw.get("eps", 0.0))
         rho = float(raw.get("rho", 1.0))
         mu0 = SparseMeasure(positions.reshape(-1, cert_cfg.dim), amplitudes)
@@ -150,7 +159,7 @@ def _cmd_certify(args) -> int:
         pts = axis.reshape(-1, 1)
     else:
         pts = np.column_stack([axis, np.full_like(axis, float(report.p0[1]))])
-    table = np.column_stack([pts, np.real(np.atleast_1d(approx.certificate(pts)))])
+    table = np.column_stack([pts, approx.certificate(pts)])
     bench._atomic_write(
         os.path.join(args.out, "certificate.csv"),
         bench._csv_text(["x", "y"][: cert_cfg.dim] + ["certificate"], table),

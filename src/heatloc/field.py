@@ -41,6 +41,11 @@ class KernelParams:
             raise ValueError(f"spatial dimension must be 1 or 2, got {self.dim}")
 
 
+def _is_count(v) -> bool:
+    """True for an integer value, numpy integers included, but not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _as_points(x, dim: int) -> tuple[np.ndarray, bool]:
     """Coerce scalar / (dim,) / (n,) / (n, dim) input to (n, dim); flag single points."""
     arr = np.asarray(x, dtype=float)

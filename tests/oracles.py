@@ -139,3 +139,47 @@ def refine_grid_loop(grid: CandidateGrid, selected) -> CandidateGrid:
             new_points.append(cand)
             new_spacing.append(half)
     return CandidateGrid(np.asarray(new_points), np.asarray(new_spacing), grid.lo, grid.hi)
+
+
+def _jackson_quadrature_nodes(p: int, n_nodes: int) -> np.ndarray:
+    n = max(n_nodes, 8 * p)
+    return -math.pi + 2.0 * math.pi * np.arange(n) / n
+
+
+def jackson_multiplier_quadrature(p: int, n_nodes: int) -> np.ndarray:
+    """Fourier multipliers of the unit-integral Jackson kernel, n = 0..2p, by quadrature.
+
+    The kernel is normalized by its own node mean, and both integrands are
+    trigonometric polynomials of degree below the node count, so the
+    uniform rule is exact up to round-off.  Returned complex.
+    """
+    nodes = _jackson_quadrature_nodes(p, n_nodes)
+    half = 0.5 * nodes
+    s = np.sin(half)
+    ratio = np.full_like(half, float(p))
+    mask = np.abs(s) >= 1e-14
+    ratio[mask] = np.sin(p * half[mask]) / s[mask]
+    vals = ratio**4 / (2.0 * math.pi * np.mean(ratio**4))
+    n = np.arange(2 * p + 1)
+    phase = np.exp(-1j * n[:, None] * nodes[None, :])
+    return 2.0 * math.pi * (phase @ vals) / nodes.size
+
+
+def wave_coeffs_quadrature(delta: float, p: int, n_nodes: int) -> np.ndarray:
+    """Fourier coefficients, n = -2p..2p, of the prolonged plane wave by quadrature.
+
+    The wave is exp(i*delta*theta) on [-pi/2, pi/2], linearly bridged to its
+    periodic continuation on [pi/2, 3pi/2].  It has kinks at +-pi/2, so the
+    uniform rule's error is O(n_nodes**-2).  Returned complex.
+    """
+    theta = _jackson_quadrature_nodes(p, n_nodes)
+    th = np.mod(theta + 0.5 * math.pi, 2.0 * math.pi) - 0.5 * math.pi
+    vals = np.empty(th.shape, dtype=complex)
+    wave = th <= 0.5 * math.pi
+    vals[wave] = np.exp(1j * delta * th[wave])
+    left = np.exp(1j * math.pi * delta / 2.0)
+    right = np.exp(-1j * math.pi * delta / 2.0)
+    vals[~wave] = left + (th[~wave] - 0.5 * math.pi) * (right - left) / math.pi
+    n = np.arange(-2 * p, 2 * p + 1)
+    phase = np.exp(-1j * n[:, None] * theta[None, :])
+    return (phase @ vals) / theta.size

@@ -5,6 +5,7 @@ import pytest
 
 from heatloc.certificates import (
     CertConfig,
+    _jackson_multiplier,
     _l1_ball_least_squares,
     build_certificate_g,
     calibrated_certificate,
@@ -19,7 +20,13 @@ from heatloc.certificates import (
 from heatloc.field import SparseMeasure, add_noise
 from heatloc.operators import build_dictionary, measure
 
-from oracles import lasso_coordinate_descent, lasso_objective, min_l1_equality_lp
+from oracles import (
+    jackson_multiplier_quadrature,
+    lasso_coordinate_descent,
+    lasso_objective,
+    min_l1_equality_lp,
+    wave_coeffs_quadrature,
+)
 
 
 class TestJacksonKernel:
@@ -76,6 +83,24 @@ class TestJacksonCoefficients:
         with pytest.raises(ValueError):
             jackson_coefficients([0.6, 0.0], 4)
 
+    @pytest.mark.parametrize("p", [1, 2, 4, 8, 16])
+    def test_matches_quadrature_oracle(self, p):
+        # closed-form multipliers and wave coefficients against a 2**16-node
+        # quadrature of the kernel and of the bridged wave; the oracle's
+        # imaginary parts vanish, so taking real coefficients drops nothing
+        n_nodes = 2**16
+        mult = jackson_multiplier_quadrature(p, n_nodes)
+        assert np.max(np.abs(mult.imag)) <= 1e-12
+        offsets = np.arange(-2 * p, 2 * p + 1)
+        full_mult = mult.real[np.abs(offsets)]
+        np.testing.assert_allclose(_jackson_multiplier(p), full_mult, rtol=0, atol=1e-13)
+        for delta in (-0.5, -0.37, -0.1, 0.0, 0.05, 0.23, 0.5):
+            wave = wave_coeffs_quadrature(delta, p, n_nodes)
+            assert np.max(np.abs(wave.imag)) <= 1e-12
+            co = jackson_coefficients([delta], p)
+            np.testing.assert_array_equal(co.offsets, offsets)
+            np.testing.assert_allclose(co.axes[0], wave.real * full_mult, rtol=0, atol=1e-9)
+
 
 class TestBuildCertificate:
     def test_on_node_center_value(self):
@@ -112,7 +137,9 @@ class TestBuildCertificate:
     def test_real_valued_certificate(self):
         cfg = CertConfig(lam=1 / 16, m=16, p_jackson=4, dim=2, mesh_points=512)
         approx = build_certificate_g(cfg, np.array([0.21, -0.13]), scale=1.0)
-        assert approx.imag_residue <= 1e-10
+        assert approx.certificate.weights.dtype == np.float64
+        values = approx.certificate(np.array([[0.1, 0.2], [0.3, -0.4]]))
+        assert np.asarray(values).dtype == np.float64
 
     def test_rejects_p0_outside_center_box(self):
         cfg = CertConfig(lam=1 / 16, m=16, p_jackson=4, dim=2)
@@ -189,6 +216,15 @@ class TestVerifySoftConditions:
         mu = SparseMeasure.from_1d([-0.22, 0.31], [0.5, 0.5])
         cfg = CertConfig(lam=lam, m=16, p_jackson=4, dim=1, mesh_points=1024)
         return lam, mu, calibrated_certificate(cfg, mu, 0)
+
+    @pytest.mark.parametrize("i0", [-1, 2, 1.0, True])
+    def test_atom_index_out_of_range_rejected(self, i0):
+        lam, mu, approx = self._two_source_certificate()
+        cfg = CertConfig(lam=lam, m=16, p_jackson=4, dim=1, mesh_points=1024)
+        with pytest.raises(ValueError, match="i0"):
+            calibrated_certificate(cfg, mu, i0)
+        with pytest.raises(ValueError, match="i0"):
+            verify_soft_conditions(approx.certificate, mu, i0, lam, mesh_points=1024)
 
     def test_rho_below_one_rejected(self):
         lam, mu, approx = self._two_source_certificate()

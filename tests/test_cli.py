@@ -107,12 +107,16 @@ class TestCli:
             ({"refinement": {"max_rounds": 0}}, None),
             ({"sweep": [5]}, None),
             ({}, "index,value\n0,0.5\n1,abc\n"),
+            ({"n_sensors": 12.5}, None),
+            ({"grid_size": 64.5}, None),
+            ({"s": True, "source_positions": [[1.2]]}, None),
         ],
         ids=[
             "malformed_json", "json_list", "string_count", "scalar_domain",
             "solver_max_iters_0", "sl0_negative_step", "sl0_unknown_key",
             "initial_points_0", "max_rounds_0", "sweep_entry_not_object",
-            "non_numeric_measurement",
+            "non_numeric_measurement", "fractional_sensor_count",
+            "fractional_grid_size", "bool_source_count",
         ],
     )
     def test_bad_inputs_are_config_errors(self, tmp_path, capsys, config, measurements):
@@ -127,6 +131,21 @@ class TestCli:
             argv = ["solve", "--measurements", str(csv)] + argv[1:]
         assert main(argv) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"refinement": {"bogus": 1}},
+            {"method": "baseline", "sl0": {"bogus": 1}},
+        ],
+        ids=["refinement_unknown_key", "sl0_unknown_key"],
+    )
+    def test_simulate_rejects_bad_method_section(self, tmp_path, capsys, config):
+        # simulate checks the method section as bench does, before writing anything
+        path, out = write_scenario(tmp_path, **config), tmp_path / "o"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_certify(self, tmp_path):
         doc = {
@@ -152,7 +171,16 @@ class TestCli:
 
     def test_certify_bad_values_are_config_errors(self, tmp_path, capsys):
         cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / "certify_1d.json"
-        for override in ({"rho": 0.5}, {"m": 0}):
+        for override in (
+            {"rho": 0.5},
+            {"m": 0},
+            {"mesh_point": 64},
+            {"quadrature_points": 4096},
+            {"mesh_points": 1},
+            {"p_jackson": 2.5},
+            {"i0": 5},
+            {"i0": -1},
+        ):
             doc = json.loads(cfg.read_text())
             doc.update(override)
             path = tmp_path / "cert.json"

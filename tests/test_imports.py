@@ -1,4 +1,4 @@
-"""Importing the package or its CLI leaves SciPy unloaded.
+"""Importing the package, its CLI, its certificate lab or its bench leaves SciPy unloaded.
 
 SciPy is needed only by ``bench.match_sources``, which imports it on call;
 loading ``scipy.optimize`` at import time used to be most of the start-up
@@ -15,7 +15,9 @@ import pytest
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
-@pytest.mark.parametrize("module", ["heatloc", "heatloc.cli"])
+@pytest.mark.parametrize(
+    "module", ["heatloc", "heatloc.cli", "heatloc.certificates", "heatloc.bench"]
+)
 def test_import_does_not_load_scipy(module):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
