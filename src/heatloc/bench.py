@@ -53,7 +53,7 @@ __all__ = [
     "lasso_lambda_universal",
 ]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 class ConfigError(ValueError):
@@ -331,6 +331,7 @@ class MetricsRecord:
     max_position_error: float
     field_rmse: float
     rounds: int
+    per_round: list  # RoundDiagnostics of each refinement round as dicts; [] for the baseline
     refinement_stopped: bool
     inner_solves_converged: bool
     kkt_feasibility: float
@@ -436,7 +437,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
     )
     if result is not None:
         kkt = result.last_outcome.kkt
-        cert_table = np.column_stack([result.final_grid, result.certificate(result.final_grid)])
+        cert_table = np.column_stack([result.final_grid, result.nu])
         stopped, inner_ok = result.converged, result.solver_all_converged
         cert_held = kkt.certificate_bound <= 1e-6
         rounds = result.rounds
@@ -466,6 +467,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
         max_position_error=float(np.max(match.position_errors)) if match.position_errors else math.inf,
         field_rmse=_field_rmse(truth, estimate, cfg, tau),
         rounds=rounds,
+        per_round=[dataclasses.asdict(dg) for dg in result.per_round] if result else [],
         refinement_stopped=stopped,
         inner_solves_converged=inner_ok,
         kkt_feasibility=kkt.feasibility if kkt else math.nan,

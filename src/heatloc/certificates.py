@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .field import SparseMeasure, _is_count, tensor_points
+from .field import SparseMeasure, _is_count, _is_real, tensor_points
 from .operators import (
     DictionaryMatrix,
     DualCertificate,
@@ -69,8 +69,8 @@ class CertConfig:
     def __post_init__(self) -> None:
         if not all(map(_is_count, (self.m, self.p_jackson, self.dim, self.mesh_points))):
             raise ValueError("m, p_jackson, dim and mesh_points must be integers")
-        if self.lam <= 0:
-            raise ValueError("width parameter lam must be positive")
+        if not _is_real(self.lam) or self.lam <= 0:
+            raise ValueError("width parameter lam must be a positive number")
         if self.m < 1 or self.p_jackson < 1:
             raise ValueError("m and p_jackson must be positive")
         if self.mesh_points < 2:

@@ -22,7 +22,7 @@ from .certificates import (
     calibrated_certificate,
     verify_soft_conditions,
 )
-from .field import SparseMeasure
+from .field import SparseMeasure, _is_real
 
 __all__ = ["main"]
 
@@ -117,8 +117,10 @@ def _cmd_certify(args) -> int:
         positions = np.asarray(raw["source_positions"], dtype=float)
         amplitudes = np.asarray(raw["source_amplitudes"], dtype=float)
         i0 = raw.get("i0", 0)
-        eps = float(raw.get("eps", 0.0))
-        rho = float(raw.get("rho", 1.0))
+        eps, rho = raw.get("eps", 0.0), raw.get("rho", 1.0)
+        if not (_is_real(eps) and _is_real(rho)):
+            raise ValueError(f"eps and rho must be numbers, got {eps!r} and {rho!r}")
+        eps, rho = float(eps), float(rho)
         mu0 = SparseMeasure(positions.reshape(-1, cert_cfg.dim), amplitudes)
         approx = calibrated_certificate(cert_cfg, mu0, i0)
         report = verify_soft_conditions(

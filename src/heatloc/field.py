@@ -46,6 +46,11 @@ def _is_count(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+def _is_real(v) -> bool:
+    """True for an integer or float value, numpy scalars included, but not a bool."""
+    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+
+
 def _as_points(x, dim: int) -> tuple[np.ndarray, bool]:
     """Coerce scalar / (dim,) / (n,) / (n, dim) input to (n, dim); flag single points."""
     arr = np.asarray(x, dtype=float)

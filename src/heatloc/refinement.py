@@ -2,11 +2,13 @@
 
 One round = solve the discretized dual on the current candidate grid, keep
 the grid points where the certificate has near-unit modulus, and insert new
-candidates at half the local spacing around them.  After the loop the final
-round's primal coefficients are condensed into source positions, in 1D and
-2D alike: atoms closer than one kernel width are chained and each chain
-becomes its mass-weighted centroid.  Amplitudes are then recovered by a
-pseudo-inverse on that support.
+candidates at half the local spacing around them.  The grid only grows, with
+old points first, so each round appends the new points' columns to the last
+round's dictionary, and a noisy round's LASSO path starts from the last
+round's solution.  After the loop the final round's primal coefficients are
+condensed into source positions, in 1D and 2D alike: atoms closer than one
+kernel width are chained and each chain becomes its mass-weighted centroid.
+Amplitudes are then recovered by a pseudo-inverse on that support.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .field import SparseMeasure, tensor_points
-from .operators import DualCertificate, MeasurementOperator, build_dictionary
+from .operators import DictionaryMatrix, DualCertificate, MeasurementOperator, build_dictionary
 from .solvers import SolveOutcome, SolverConfig, solve_l1_equality, solve_lasso
 
 __all__ = [
@@ -215,6 +217,7 @@ class RecoveryResult:
     estimate: SparseMeasure
     final_grid: np.ndarray
     certificate: DualCertificate
+    nu: np.ndarray  # the certificate's values on final_grid, A^T p of the last solve
     rounds: int
     per_round: list[RoundDiagnostics]
     converged: bool
@@ -232,6 +235,9 @@ def run_refinement(op: MeasurementOperator, b, cfg: RefinementConfig, noisy: boo
     Noiseless data is fit with the equality-constrained l1 problem, noisy data
     with the LASSO; the loop stops when the dual objective stalls, the round
     budget is exhausted, or no grid point clears the selection threshold.
+    Each noisy round warm-starts the LASSO path from the previous round's
+    primal; the equality solve always starts from zero (see
+    :mod:`heatloc.solvers`).
     """
     b = np.asarray(b, dtype=float)
     if b.shape != (op.d,):
@@ -247,15 +253,24 @@ def run_refinement(op: MeasurementOperator, b, cfg: RefinementConfig, noisy: boo
             raise ValueError("noisy refinement needs lasso_lambda (value or rule)")
 
     grid = CandidateGrid.uniform(cfg.lo, cfg.hi, cfg.initial_points_per_dim)
+    A = build_dictionary(op, grid)
     diagnostics: list[RoundDiagnostics] = []
     outcome = None
     prev_obj = None
     stopped_by = "max_rounds"
 
     for k in range(1, cfg.max_rounds + 1):
-        A = build_dictionary(op, grid)
+        # refine_grid keeps the old points first and in order, so the
+        # dictionary only gains the columns of the new points
+        if grid.size > A.shape[1]:
+            new = build_dictionary(op, grid.points[A.shape[1]:])
+            A = DictionaryMatrix(np.hstack([A.entries, new.entries]), grid.points)
         if noisy:
-            outcome = solve_lasso(A, b, lam, scfg)
+            # resume from the last round's solution, the new points at zero
+            start = None
+            if outcome is not None:
+                start = np.pad(outcome.primal, (0, grid.size - outcome.primal.size))
+            outcome = solve_lasso(A, b, lam, scfg, start=start)
             # per-unit-penalty dual value: comparable across rounds on the
             # same O(1) scale as the equality dual objective
             stop_obj = outcome.dual_objective / lam
@@ -303,6 +318,7 @@ def run_refinement(op: MeasurementOperator, b, cfg: RefinementConfig, noisy: boo
         estimate=estimate,
         final_grid=grid.points,
         certificate=certificate,
+        nu=nu,
         rounds=len(diagnostics),
         per_round=diagnostics,
         converged=stopped_by in ("objective_stall", "empty_selection"),

@@ -19,6 +19,18 @@ in general position is at most the number of rows of A).
   used by the certificate lab's noisy check: the same path stopped where
   |x|_1 reaches rho.
 
+The LASSO solve can also start from a nearby solution, such as the previous
+refinement round's primal padded with zeros, and follow a fading linear
+perturbation from it to the solution at lam (warm-started l1 homotopy):
+about one step per support change instead of one per breakpoint below
+max|A^T b|.  The equality and l1-ball solves always start from zero.  They
+run the path down to a tiny penalty (1e-6 * max|A^T b|) or far along it
+toward one, where a warm path crowds the active set up to the number of
+rows.  On the noiseless 1D configs (seeds 1-5, 16 rows), warm starts at the
+equality penalty saved only about 52 -> 37 steps per solve; 3 of 45 hit the
+rank guard of :func:`_warm_path`, and without the guard one grew past 16
+columns and cycled until its step cap.
+
 Outcomes carry the primal, the dual vector in the convention above, and
 KKT residuals including a duality gap evaluated at a feasibility-rescaled
 dual point.
@@ -99,15 +111,51 @@ def _gram_solve(sub: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.lstsq(gram, rhs, rcond=None)[0]
 
 
+def _next_breakpoint(q, dq, bound, dbound, active, signs, x_act, w, step, banned, tie):
+    """Next breakpoint of an active-set path: ``(step, join, leave)``.
+
+    Per unit step the correlations ``q`` move at ``dq``, their bound at
+    ``dbound``, and the active coefficients ``x_act`` at ``w``; ``signs``
+    are the signs of the active correlations.  An inactive column joins when
+    |q_j| reaches the bound; only bounds it approaches count, and one that
+    rounding already put past the bound joins at once.  The column
+    ``banned`` (one that just left) may not re-enter within ``tie``.  An
+    active coefficient leaves when it reaches zero moving against its sign;
+    one that rounding left on the wrong side leaves at once.  ``step`` is
+    the longest step allowed; ``join`` (an index into q) and ``leave`` (a
+    position in ``active``) are -1 unless their event comes first.
+    """
+    join, leave = -1, -1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        up, down = dq - dbound, -dq - dbound  # rates of approach to +bound and -bound
+        upper = np.where(up > 0.0, np.maximum(bound - q, 0.0) / up, np.inf)
+        lower = np.where(down > 0.0, np.maximum(bound + q, 0.0) / down, np.inf)
+    cands = np.minimum(upper, lower)
+    cands[active] = np.inf
+    if banned >= 0 and cands[banned] <= tie:
+        cands[banned] = np.inf
+    j = int(np.argmin(cands))
+    if cands[j] < step:
+        step, join = float(cands[j]), j
+    rate = signs * w
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = np.where(rate < 0.0, np.maximum(signs * x_act, 0.0) / -rate, np.inf)
+    if cross.size and np.min(cross) < step:
+        leave = int(np.argmin(cross))
+        step, join = float(cross[leave]), -1
+    return step, join, leave
+
+
 def _lasso_path(mat: np.ndarray, b: np.ndarray, lam: float, radius: float, max_steps: int):
     """Follow the LASSO solution path from ``max|A^T b|`` down to penalty ``lam``.
 
     Exact active-set homotopy (Osborne, Presnell & Turlach 2000; the LASSO
     variant of LARS, Efron et al. 2004): the solution is piecewise linear in
     the penalty and zero above ``max|A^T b|``.  Each step moves the penalty to
-    the next breakpoint, where a column joins the active set or an active
-    coefficient crosses zero and leaves it; in general position the active set
-    never exceeds the rank of A, so every step is a small linear solve.
+    the next breakpoint (:func:`_next_breakpoint`), where a column joins the
+    active set or an active coefficient crosses zero and leaves it; in
+    general position the active set never exceeds the rank of A, so every
+    step is a small linear solve.
 
     The path also stops where |x|_1, which never decreases along it, reaches
     ``radius``: inside the last linear segment |x|_1 moves at the rate
@@ -134,29 +182,11 @@ def _lasso_path(mat: np.ndarray, b: np.ndarray, lam: float, radius: float, max_s
         signs = np.sign(corr[active])
         w = _gram_solve(sub, signs)
         u = mat.T @ (sub @ w)  # rate of change of the correlations per unit step
-        step, join, leave = level - lam, -1, -1
-        # an inactive column joins when its correlation reaches the moving
-        # bound level - step; only bounds it approaches count, and one that
-        # rounding already put past the bound joins at once
-        with np.errstate(divide="ignore", invalid="ignore"):
-            upper = np.where(1.0 - u > 0.0, np.maximum(level - corr, 0.0) / (1.0 - u), np.inf)
-            lower = np.where(1.0 + u > 0.0, np.maximum(level + corr, 0.0) / (1.0 + u), np.inf)
-        cands = np.minimum(upper, lower)
-        cands[active] = np.inf
-        if banned >= 0 and cands[banned] <= _TIE_EPS * level:
-            cands[banned] = np.inf
-        j = int(np.argmin(cands))
-        if cands[j] < step:
-            step, join = float(cands[j]), j
-        # an active coefficient leaves when it reaches zero moving against
-        # its sign; one that rounding left on the wrong side leaves at once
-        rate = signs * w
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cross = np.where(rate < 0.0, np.maximum(signs * x[active], 0.0) / -rate, np.inf)
-        if np.min(cross) < step:
-            leave = int(np.argmin(cross))
-            step, join = float(cross[leave]), -1
-        l1, growth = float(signs @ x[active]), float(np.sum(rate))
+        step, join, leave = _next_breakpoint(
+            corr, -u, level, -1.0, active, signs, x[active], w, level - lam, banned,
+            _TIE_EPS * level,
+        )
+        l1, growth = float(signs @ x[active]), float(np.sum(signs * w))
         if growth > 0.0 and l1 + step * growth >= radius:
             x[active] += (radius - l1) / growth * w
             return x, active, steps, True
@@ -172,14 +202,69 @@ def _lasso_path(mat: np.ndarray, b: np.ndarray, lam: float, radius: float, max_s
     return x, active, steps, level <= lam
 
 
-def _lasso_point(mat: np.ndarray, b: np.ndarray, lam: float, max_steps: int):
+def _warm_path(mat: np.ndarray, b: np.ndarray, lam: float, start: np.ndarray, max_steps: int):
+    """Follow the LASSO solution at ``lam`` from ``start`` instead of from zero.
+
+    Warm-started l1 homotopy (Garrigues & El Ghaoui 2008; Asif & Romberg
+    2014): with c = A^T (b - A x0) and u = lam*z - c, the point x0 solves
+    min 0.5*|A x - b|^2 + lam*|x|_1 - (1 - eps) * <u, x> at eps = 0, and the
+    perturbation fades out as eps goes from 0 to 1.  z is sign(x0) on the
+    support of x0 and c/lam where |c| <= lam; where |c| > lam it is 0, so
+    the columns that break the KKT conditions at x0 start strictly inside
+    the bound (started on it, at z = +-1, they fill the active set up to the
+    rank guard below within a few steps).  On the active set S the effective
+    correlations q = A^T (b - A x) + (1 - eps) * u stay at +-lam, so x_S
+    moves at w = -G_SS^-1 u_S and q at -A^T A_S w - u per unit of eps; the
+    breakpoints follow the same rules as :func:`_lasso_path`.
+
+    Returns ``(x, active, steps, done)`` like :func:`_lasso_path`; ``done``
+    is False when the step budget ran out or a join would grow the active
+    set past the d rows of A, the general-position bound.
+    """
+    d = mat.shape[0]
+    x = np.array(start, dtype=float)
+    active = np.flatnonzero(x).tolist()
+    if len(active) > d:
+        return x, active, 0, False
+    c = mat.T @ (b - mat @ x)
+    z = np.where(np.abs(c) <= lam, c / lam, 0.0)
+    z[active] = np.sign(x[active])
+    u = lam * z - c
+    eps, steps, banned = 0.0, 0, -1
+    while eps < 1.0 and steps < max_steps:
+        steps += 1
+        q = mat.T @ (b - mat @ x) + (1.0 - eps) * u
+        sub = mat[:, active]
+        w = -_gram_solve(sub, u[active])
+        dq = -(mat.T @ (sub @ w)) - u
+        step, join, leave = _next_breakpoint(
+            q, dq, lam, 0.0, active, np.sign(q[active]), x[active], w, 1.0 - eps, banned, _TIE_EPS
+        )
+        x[active] += step * w
+        eps = 1.0 if join < 0 and leave < 0 else eps + step
+        banned = -1
+        if leave >= 0:
+            banned = active.pop(leave)
+            x[banned] = 0.0
+        elif join >= 0:
+            if len(active) == d:
+                return x, active, steps, False
+            active.append(join)
+    return x, active, steps, eps >= 1.0
+
+
+def _lasso_point(mat: np.ndarray, b: np.ndarray, lam: float, max_steps: int, start=None):
     """LASSO solution at penalty ``lam``: ``(x, active, steps, reached)``.
 
-    When the path reaches ``lam``, the stationarity system of the last
-    segment is re-solved there to clear the rounding the path updates
-    accumulated.
+    The path starts from zero, or from ``start`` when one is given (see
+    :func:`_warm_path`).  When it reaches ``lam``, the stationarity system
+    of the last segment is re-solved there to clear the rounding the path
+    updates accumulated.
     """
-    x, active, steps, reached = _lasso_path(mat, b, lam, math.inf, max_steps)
+    if start is None:
+        x, active, steps, reached = _lasso_path(mat, b, lam, math.inf, max_steps)
+    else:
+        x, active, steps, reached = _warm_path(mat, b, lam, start, max_steps)
     if reached and active:
         sub = mat[:, active]
         xs = _gram_solve(sub, sub.T @ b - lam * np.sign(x[active]))
@@ -206,12 +291,16 @@ def _lasso_kkt(mat: np.ndarray, b: np.ndarray, lam: float, x: np.ndarray, cfg: S
     return p, atp, inf_norm, obj, dual_obj, ok
 
 
-def solve_lasso(A, b, lam: float, cfg: SolverConfig | None = None) -> SolveOutcome:
+def solve_lasso(A, b, lam: float, cfg: SolverConfig | None = None, start=None) -> SolveOutcome:
     """LASSO solve min 0.5*|A x - b|^2 + lam*|x|_1 with dual p = (b - A x)/lam.
 
     The solution path is followed exactly from ``max|A^T b|``, where the
-    solution is zero, down to ``lam`` (see :func:`_lasso_path`).
-    ``cfg.max_iters`` caps the number of path steps; a run that hits the cap
+    solution is zero, down to ``lam`` (see :func:`_lasso_path`).  Given a
+    ``start`` x0, such as the previous refinement round's primal padded with
+    zeros, the path instead runs from x0 to the solution (see
+    :func:`_warm_path`); when that path stops early or its end fails the KKT
+    test, the cold path runs from zero.  ``cfg.max_iters`` caps the steps of
+    each path and ``iterations`` counts both; a run that hits the cap
     reports ``converged=False`` with the path point it reached.
 
     The reported dual vector solves min |b/lam - p| s.t. |A^T p|_inf <= 1,
@@ -223,8 +312,17 @@ def solve_lasso(A, b, lam: float, cfg: SolverConfig | None = None) -> SolveOutco
     mat = _entries(A)
     b = np.asarray(b, dtype=float)
 
-    x, _, steps, reached = _lasso_point(mat, b, lam, cfg.max_iters)
-    p, atp, inf_norm, obj, dual_obj, ok = _lasso_kkt(mat, b, lam, x, cfg)
+    steps, reached, ok = 0, False, False
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != (mat.shape[1],):
+            raise ValueError(f"start has shape {start.shape}, expected ({mat.shape[1]},)")
+        x, _, steps, reached = _lasso_point(mat, b, lam, cfg.max_iters, start)
+        p, atp, inf_norm, obj, dual_obj, ok = _lasso_kkt(mat, b, lam, x, cfg)
+    if not (reached and ok):
+        x, _, cold, reached = _lasso_point(mat, b, lam, cfg.max_iters)
+        p, atp, inf_norm, obj, dual_obj, ok = _lasso_kkt(mat, b, lam, x, cfg)
+        steps += cold
     feas = float(np.linalg.norm(b - mat @ x - lam * p))  # definitional residual
     cert = max(0.0, inf_norm - 1.0)
     gap = abs(obj - dual_obj)

@@ -6,8 +6,16 @@ import numpy as np
 from scipy.optimize import least_squares, linprog, minimize
 
 from heatloc.field import SparseMeasure
-from heatloc.operators import measure
-from heatloc.refinement import _KEY_DECIMALS, CandidateGrid
+from heatloc.operators import build_dictionary, measure
+from heatloc.refinement import (
+    _KEY_DECIMALS,
+    CandidateGrid,
+    default_peak_threshold,
+    recover_amplitudes,
+    refine_grid,
+    select_peaks_1d,
+)
+from heatloc.solvers import SolverConfig, solve_l1_equality, solve_lasso
 
 
 def min_l1_equality_lp(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -139,6 +147,43 @@ def refine_grid_loop(grid: CandidateGrid, selected) -> CandidateGrid:
             new_points.append(cand)
             new_spacing.append(half)
     return CandidateGrid(np.asarray(new_points), np.asarray(new_spacing), grid.lo, grid.hi)
+
+
+def refinement_cold_loop(op, b, cfg, noisy: bool):
+    """The refinement loop with a full dictionary rebuild and a cold solve per round.
+
+    Returns ``(per_round, estimate)``: one ``(grid_size, n_selected)`` pair
+    per round and the recovered measure.  Same stop rule, thresholds,
+    extraction and amplitude recovery as ``run_refinement``.
+    """
+    b = np.asarray(b, dtype=float)
+    stop_tol = cfg.stop_tol if cfg.stop_tol is not None else (1e-6 if noisy else 1e-4)
+    tol = 1e-7 if noisy else 1e-9
+    scfg = cfg.solver or SolverConfig(tol_primal=tol, tol_dual=tol)
+    lam = cfg.lasso_lambda(b) if callable(cfg.lasso_lambda) else cfg.lasso_lambda
+    grid = CandidateGrid.uniform(cfg.lo, cfg.hi, cfg.initial_points_per_dim)
+    per_round, prev_obj = [], None
+    for k in range(1, cfg.max_rounds + 1):
+        A = build_dictionary(op, grid)
+        if noisy:
+            out = solve_lasso(A, b, lam, scfg)
+            obj = out.dual_objective / lam
+        else:
+            out = solve_l1_equality(A, b, scfg)
+            obj = out.dual_objective
+        sel = np.abs(A.entries.T @ out.dual) >= default_peak_threshold(k)
+        per_round.append((grid.size, int(sel.sum())))
+        if prev_obj is not None and abs(obj - prev_obj) < stop_tol:
+            break
+        prev_obj = obj
+        if not sel.any():
+            break
+        if k < cfg.max_rounds:
+            grid = refine_grid(grid, sel)
+    support = select_peaks_1d(grid.points, out.primal, math.sqrt(float(np.min(op.samples.ts))))
+    if support.shape[0] == 0:
+        return per_round, SparseMeasure.empty(op.dim)
+    return per_round, recover_amplitudes(op, support, b)
 
 
 def _jackson_quadrature_nodes(p: int, n_nodes: int) -> np.ndarray:

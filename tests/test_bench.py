@@ -166,6 +166,29 @@ class TestRunScenario:
         meta = json.loads(open(paths["meta"]).read())
         assert meta["runtime_s"] > 0
 
+    def test_record_carries_per_round_diagnostics(self):
+        art = run_scenario(small_scenario(snr_db=30.0))
+        rec, result = art.record, art.result
+        assert rec.schema_version == 3
+        assert len(rec.per_round) == rec.rounds == result.rounds
+        keys = {"round", "grid_size", "threshold", "n_selected", "dual_objective",
+                "duality_gap", "solver_iterations", "solver_converged"}
+        assert all(set(entry) == keys for entry in rec.per_round)
+        assert [e["solver_iterations"] for e in rec.per_round] == [
+            dg.solver_iterations for dg in result.per_round
+        ]
+        assert rec.per_round[-1]["grid_size"] == rec.n_final_grid
+        # the certificate table is the last round's A^T p on the final grid
+        np.testing.assert_allclose(
+            art.certificate_table[:, -1], result.certificate(result.final_grid), rtol=0, atol=1e-12
+        )
+
+    def test_baseline_record_has_no_rounds(self):
+        cfg = small_scenario(method="baseline", s=3, source_positions=None, source_mode="on_grid",
+                             n_sensors=16)
+        rec = run_scenario(cfg).record
+        assert rec.rounds == 0 and rec.per_round == []
+
     def test_tabular_outputs(self, tmp_path):
         cfg = small_scenario()
         art = run_scenario(cfg)

@@ -70,7 +70,7 @@ class TestCli:
         assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
         rec = json.loads((out / "noiseless_1d_off_grid" / "record.json").read_text())
         assert rec["refinement_stopped"] and rec["inner_solves_converged"]
-        assert rec["schema_version"] == 2
+        assert rec["schema_version"] == 3
 
     def test_bench_sweep(self, tmp_path):
         doc = json.loads(open(write_scenario(tmp_path)).read())
@@ -180,6 +180,10 @@ class TestCli:
             {"p_jackson": 2.5},
             {"i0": 5},
             {"i0": -1},
+            {"lam": "0.0625"},
+            {"lam": True},
+            {"eps": [0.1]},
+            {"rho": "1.05"},
         ):
             doc = json.loads(cfg.read_text())
             doc.update(override)

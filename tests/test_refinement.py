@@ -1,8 +1,17 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+import heatloc.refinement as refinement
+from heatloc.bench import (
+    _method_config,
+    lasso_lambda_universal,
+    load_config,
+    load_configs,
+    synthesize,
+)
 from heatloc.field import SparseMeasure
 from heatloc.operators import (
     MeasurementOperator,
@@ -21,7 +30,16 @@ from heatloc.refinement import (
     select_peaks_2d,
 )
 
-from oracles import min_l1_equality_lp, min_norm_certificate, refine_grid_loop
+from heatloc.solvers import solve_lasso
+
+from oracles import (
+    min_l1_equality_lp,
+    min_norm_certificate,
+    refine_grid_loop,
+    refinement_cold_loop,
+)
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def reference_op_1d(rho=1.8125, n_sensors=16, length=2 * math.pi):
@@ -325,3 +343,99 @@ class TestRunRefinement:
             run_refinement(
                 op, np.ones(op.d + 1), RefinementConfig(lo=[0.0], hi=[2 * math.pi]), noisy=False
             )
+
+
+def scenario_inputs(cfg):
+    """Operator, data and refinement config of a scenario, with its noisy penalty rule resolved."""
+    _, op, b = synthesize(cfg)
+    rcfg = _method_config(cfg)
+    if cfg.snr_db is not None:
+        grid0 = CandidateGrid.uniform(rcfg.lo, rcfg.hi, rcfg.initial_points_per_dim)
+        rcfg.lasso_lambda = lasso_lambda_universal(cfg.snr_db, op, grid0.points)
+    return op, b, rcfg
+
+
+def shipped_scenario(file: str, name: str):
+    return next(c for c in load_configs(CONFIGS / file) if c.name == name)
+
+
+def record_solves(monkeypatch, attr: str) -> list:
+    """Replace ``refinement.<attr>`` by a spy that records each call's arguments."""
+    calls = []
+    real = getattr(refinement, attr)
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(refinement, attr, spy)
+    return calls
+
+
+SHIPPED_NOISY = [("noisy_1d_40db.json", "noisy_1d_40db"), ("sweep_2d_snr.json", "snr30db")]
+
+
+class TestWarmStartedRounds:
+    """Appending columns and resuming the LASSO path change no round's outcome."""
+
+    @pytest.mark.parametrize("file,name", SHIPPED_NOISY)
+    def test_matches_cold_loop(self, file, name):
+        op, b, rcfg = scenario_inputs(shipped_scenario(file, name))
+        res = run_refinement(op, b, rcfg, noisy=True)
+        per_round, ref = refinement_cold_loop(op, b, rcfg, noisy=True)
+        assert [(dg.grid_size, dg.n_selected) for dg in res.per_round] == per_round
+        assert res.solver_all_converged
+        assert res.estimate.positions.shape == ref.positions.shape
+        np.testing.assert_allclose(res.estimate.positions, ref.positions, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(res.estimate.amplitudes, ref.amplitudes, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "file,name,attr",
+        [(f, n, "solve_lasso") for f, n in SHIPPED_NOISY]
+        + [("noiseless_1d_off_grid.json", "noiseless_1d_off_grid", "solve_l1_equality")],
+    )
+    def test_appended_dictionary_equals_full_build(self, monkeypatch, file, name, attr):
+        op, b, rcfg = scenario_inputs(shipped_scenario(file, name))
+        calls = record_solves(monkeypatch, attr)
+        res = run_refinement(op, b, rcfg, noisy=attr == "solve_lasso")
+        assert len(calls) == res.rounds > 1
+        prev = np.empty((0, op.dim))
+        for (args, _), dg in zip(calls, res.per_round):
+            A = args[0]
+            full = build_dictionary(op, A.points)
+            assert A.shape[1] == dg.grid_size
+            assert A.entries.tobytes() == full.entries.tobytes()
+            np.testing.assert_array_equal(A.points[: prev.shape[0]], prev)
+            prev = A.points
+        np.testing.assert_array_equal(res.nu, A.entries.T @ res.last_outcome.dual)
+
+    def test_round_three_starts_inside_the_bound(self, monkeypatch):
+        """8 sensors at 30 dB, round 3: the warm path beats the cold one.
+
+        Columns whose correlation at the start exceeds the penalty start at
+        z = 0, strictly inside the bound.  Started on the bound (z = +-1)
+        here, the active set reaches the 8 rows within three steps, the rank
+        guard drops the warm path, and the cold path reruns: more steps than
+        the cold path alone.
+        """
+        L = 2 * math.pi
+        cfg = load_config(
+            dict(
+                name="ref_8s_30db", dim=1, domain_lo=[0.0], domain_hi=[L], s=3,
+                source_mode="explicit",
+                source_positions=[[24 * L / 128], [60 * L / 128], [100 * L / 128]],
+                n_sensors=8, snr_db=30.0, noise_seed=1,
+                refinement={"lasso_lambda": "universal"},
+            )
+        )
+        op, b, rcfg = scenario_inputs(cfg)
+        calls = record_solves(monkeypatch, "solve_lasso")
+        run_refinement(op, b, rcfg, noisy=True)
+        (A, _, lam, scfg), kwargs = calls[2]
+        start = kwargs["start"]
+        assert np.any(np.abs(A.entries.T @ (b - A.entries @ start)) > lam)
+        cold = solve_lasso(A, b, lam, scfg)
+        warm = solve_lasso(A, b, lam, scfg, start=start)
+        assert cold.converged and warm.converged
+        assert warm.iterations < cold.iterations
+        assert abs(warm.objective - cold.objective) <= 1e-12 * cold.objective

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from heatloc.operators import MeasurementOperator, SampleSet, build_dictionary
 from heatloc.solvers import SolverConfig, solve_l1_equality, solve_lasso
 
 from oracles import lasso_coordinate_descent, lasso_objective, min_l1_equality_lp
@@ -179,6 +180,74 @@ class TestLasso:
         out2 = solve_lasso(A, b, 0.2)
         np.testing.assert_array_equal(out1.primal, out2.primal)
         assert out1.iterations == out2.iterations
+
+
+def _kernel_instance(seed: int, d: int = 12, P: int = 80):
+    """A refinement-like LASSO instance: heat-kernel columns, noisy data, lam = 5% of max|A^T b|."""
+    rng = np.random.default_rng(seed)
+    op = MeasurementOperator(SampleSet.uniform_1d(d, 2 * np.pi, [0.25]))
+    A = build_dictionary(op, np.sort(rng.uniform(0.0, 2 * np.pi, P))).entries
+    b = A[:, rng.choice(P, 3, replace=False)] @ rng.uniform(0.5, 1.5, 3)
+    b = b + 0.01 * np.linalg.norm(b) / np.sqrt(d) * rng.standard_normal(d)
+    return A, b, 0.05 * float(np.max(np.abs(A.T @ b)))
+
+
+class TestWarmStart:
+    """``solve_lasso(..., start=x0)`` reaches the cold path's solution."""
+
+    @staticmethod
+    def assert_matches(A, b, lam, cold, warm):
+        assert cold.converged and warm.converged
+        assert abs(warm.objective - cold.objective) <= 1e-12 * cold.objective
+        assert np.max(np.abs(A @ warm.primal - A @ cold.primal)) <= 1e-10
+        corr = A.T @ (b - A @ warm.primal)
+        supp = warm.primal != 0.0
+        tol = 1e-9 * lam
+        np.testing.assert_allclose(corr[supp], lam * np.sign(warm.primal[supp]), rtol=0, atol=tol)
+        assert np.all(np.abs(corr) <= lam + tol)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_cold_from_nearby_starts(self, seed):
+        A, b, lam = _kernel_instance(seed)
+        cold = solve_lasso(A, b, lam)
+        # the cold solution, and a coarser grid's solution padded with zeros
+        coarse = np.arange(0, A.shape[1], 2)
+        padded = np.zeros(A.shape[1])
+        padded[coarse] = solve_lasso(A[:, coarse], b, lam).primal
+        for start in (cold.primal, padded):
+            self.assert_matches(A, b, lam, cold, solve_lasso(A, b, lam, start=start))
+        assert solve_lasso(A, b, lam, start=cold.primal).iterations == 1
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_cold_from_random_sparse_starts(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        gaussian = (rng.standard_normal((16, 64)), rng.standard_normal(16), 0.1)
+        for A, b, lam in (_kernel_instance(seed), gaussian):
+            cold = solve_lasso(A, b, lam)
+            start = np.zeros(A.shape[1])
+            idx = rng.choice(A.shape[1], A.shape[0] // 2, replace=False)
+            start[idx] = rng.standard_normal(idx.size)
+            self.assert_matches(A, b, lam, cold, solve_lasso(A, b, lam, start=start))
+
+    def test_start_with_more_than_d_nonzeros_falls_back(self):
+        A, b, lam = _kernel_instance(0)
+        cold = solve_lasso(A, b, lam)
+        start = np.random.default_rng(1).standard_normal(A.shape[1])
+        warm = solve_lasso(A, b, lam, start=start)
+        self.assert_matches(A, b, lam, cold, warm)
+        assert warm.iterations == cold.iterations  # the warm path took no step
+
+    def test_step_cap_counts_both_paths(self):
+        A, b, lam = _kernel_instance(2)
+        start = np.zeros(A.shape[1])
+        start[[5, 40]] = 1.0
+        capped = solve_lasso(A, b, lam, SolverConfig(max_iters=1), start=start)
+        assert not capped.converged
+        assert capped.iterations == 2
+
+    def test_start_shape_checked(self):
+        with pytest.raises(ValueError):
+            solve_lasso(np.eye(3), np.ones(3), 0.5, start=np.zeros(2))
 
 
 class TestSolverConfig:
