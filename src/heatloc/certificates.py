@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .field import SparseMeasure, _is_count, _is_real, tensor_points
+from .field import SparseMeasure, _is_count, _is_real, kernel_peak, tensor_points
 from .operators import (
     DictionaryMatrix,
     DualCertificate,
@@ -38,7 +38,6 @@ __all__ = [
     "JacksonCoefficients",
     "CertificateApproximation",
     "CertificateReport",
-    "jackson_kernel",
     "jackson_coefficients",
     "grid_sample_set",
     "build_certificate_g",
@@ -81,26 +80,6 @@ class CertConfig:
     @property
     def t(self) -> float:
         return 2.0 * self.lam
-
-
-def _jackson_raw(p: int, x: np.ndarray) -> np.ndarray:
-    """(sin(p x/2) / sin(x/2))**4 with the continuous extension p**4 at x = 0."""
-    half = 0.5 * np.asarray(x, dtype=float)
-    s = np.sin(half)
-    ratio = np.full_like(half, float(p))
-    mask = np.abs(s) >= 1e-14
-    ratio[mask] = np.sin(p * half[mask]) / s[mask]
-    return ratio**4
-
-
-def jackson_kernel(p: int, x) -> np.ndarray | float:
-    """Fourth-power trigonometric kernel on [-pi, pi], normalized to unit integral."""
-    if p < 1:
-        raise ValueError("kernel order p must be >= 1")
-    arr = np.asarray(x, dtype=float)
-    a0 = p * (2 * p * p + 1) / 3.0  # constant Fourier coefficient of _jackson_raw
-    vals = _jackson_raw(p, arr) / (2.0 * math.pi * a0)
-    return float(vals) if np.isscalar(x) or arr.ndim == 0 else vals
 
 
 def _jackson_multiplier(p: int) -> np.ndarray:
@@ -202,8 +181,18 @@ class CertificateApproximation:
         )
 
 
+def _bump(r2, lam: float):
+    """Similarity bump exp(-r2 / (4*lam)) at squared distance ``r2``.
+
+    It is the kernel at t = 2*lam divided by its peak, G(x, 2*lam) / G(0, 2*lam),
+    and 1 at r2 = 0.
+    """
+    return np.exp(-r2 / (4.0 * lam))
+
+
 def _bump_mesh(axes, p0: np.ndarray, lam: float) -> np.ndarray:
-    factors = [np.exp(-((ax - c) ** 2) / (4.0 * lam)) for ax, c in zip(axes, p0)]
+    """The bump centred at ``p0`` on a tensor mesh, as a product of per-axis factors."""
+    factors = [_bump((ax - c) ** 2, lam) for ax, c in zip(axes, p0)]
     if len(factors) == 1:
         return factors[0]
     return np.outer(factors[0], factors[1])
@@ -217,7 +206,6 @@ def build_certificate_g(cfg: CertConfig, p0, scale: float = 1.0) -> CertificateA
     sup-error is measured on a dense mesh wide enough that the analytic tail
     beyond it is negligible (returned as ``tail_bound``).
     """
-    t = cfg.t
     p0 = np.atleast_1d(np.asarray(p0, dtype=float))
     if p0.shape != (cfg.dim,):
         raise ValueError(f"p0 must be a point of dimension {cfg.dim}")
@@ -236,20 +224,20 @@ def build_certificate_g(cfg: CertConfig, p0, scale: float = 1.0) -> CertificateA
                 "candidate grid does not contain the required translates; "
                 "need m >= 4*p_jackson (plus room for p0 away from the center)"
             )
-    pref_inv = (4.0 * math.pi * t) ** (cfg.dim / 2.0)
+    peak = kernel_peak(cfg.t, cfg.dim)
     w = np.zeros((2 * cfg.m + 1,) * cfg.dim)
-    w[np.ix_(*idx_axes)] = scale * pref_inv * coeffs.dense()
+    w[np.ix_(*idx_axes)] = scale * coeffs.dense() / peak
     cert = DualCertificate(op, w.ravel())
 
     lam1 = float(np.sum(np.abs(cert.weights)))
-    amp = lam1 / pref_inv + abs(scale)
-    pad = math.sqrt(2.0 * t * math.log(max(amp, 1.0) * 1e13 / max(abs(scale), 1e-300)))
+    amp = lam1 * peak + abs(scale)
+    pad = math.sqrt(4.0 * cfg.lam * math.log(max(amp, 1.0) * 1e13 / max(abs(scale), 1e-300)))
     mesh = np.linspace(-1.0 - pad, 1.0 + pad, cfg.mesh_points)
     g_mesh = cert.on_mesh((mesh,) * cfg.dim)
     target = scale * _bump_mesh((mesh,) * cfg.dim, p0, cfg.lam)
     sup_error = float(np.max(np.abs(g_mesh - target)))
-    tail = amp * math.exp(-pad * pad / (2.0 * t))
-    weight_norm = abs(scale) * pref_inv * coeffs.norm
+    tail = amp * float(_bump(pad * pad, cfg.lam))
+    weight_norm = abs(scale) * coeffs.norm / peak
 
     return CertificateApproximation(
         certificate=cert,
@@ -361,11 +349,10 @@ def verify_soft_conditions(
     amp = sigma + 1.0
     if weights is not None and samples is not None:
         t_min = float(np.min(samples.ts))
-        pref = (4.0 * math.pi * t_min) ** (-mu0.dim / 2.0)
-        amp += float(np.sum(np.abs(weights))) * pref
+        amp += float(np.sum(np.abs(weights))) * kernel_peak(t_min, mu0.dim)
     pad = math.sqrt(4.0 * lam * math.log(amp * 1e13))
     lo, hi = base_lo - pad, base_hi + pad
-    tail = amp * math.exp(-pad * pad / (4.0 * lam))
+    tail = amp * float(_bump(pad * pad, lam))
 
     axes = [np.linspace(lo[j], hi[j], mesh_points) for j in range(mu0.dim)]
     values = _mesh_values(g, axes)
@@ -473,6 +460,8 @@ def verify_soft_stable_inequality(
     ``max_iters`` caps the path steps; returns None when the cap is hit
     before the path reaches the ball's boundary or its end.
     """
+    if lam <= 0:
+        raise ValueError("width parameter lam must be positive")
     if rho < 1.0:
         raise ValueError("rho must be >= 1")
     b = np.asarray(b, dtype=float)
@@ -485,7 +474,7 @@ def verify_soft_stable_inequality(
         return rhs <= 0.0
     supp = np.abs(x) > 1e-6 * xmax
     diffs = A.points[supp] - report.p0[None, :]
-    overlaps = np.exp(-np.einsum("nd,nd->n", diffs, diffs) / (4.0 * lam))
+    overlaps = _bump(np.einsum("nd,nd->n", diffs, diffs), lam)
     return bool(np.max(overlaps) >= rhs - 1e-9)
 
 

@@ -4,10 +4,12 @@ The diffusion kernel used throughout is
 
     G(x, t) = (4*pi*t)**(-dim/2) * exp(-|x|**2 / (2*t)),
 
-i.e. prefactor ``(4*pi*t)**(-dim/2)`` with exponent denominator ``2*t``.
+i.e. peak value ``(4*pi*t)**(-dim/2)`` with exponent denominator ``2*t``.
 Its total mass is ``2**(-dim/2)``, not 1; the convention is fixed so that a
-kernel at time ``t`` has exactly the shape of the autocorrelation bump of
-width ``Lambda = t/2`` used by the certificate machinery.
+kernel at time ``t = 2*lam`` has exactly the shape of the certificate lab's
+similarity bump ``exp(-|x|**2 / (4*lam))``.  This module is the only one that
+knows the convention: :func:`kernel_matrix` is the one evaluator of G and
+:func:`kernel_peak` the one source of its peak value.
 """
 
 from __future__ import annotations
@@ -18,27 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "KernelParams",
     "SparseMeasure",
+    "kernel_peak",
     "kernel_matrix",
     "tensor_points",
-    "green_kernel",
     "evaluate_field",
-    "tv_norm",
-    "autocorrelation",
     "add_noise",
 ]
-
-
-@dataclass(frozen=True)
-class KernelParams:
-    """Spatial dimension of the diffusion kernel (the time convention is fixed)."""
-
-    dim: int
-
-    def __post_init__(self) -> None:
-        if self.dim not in (1, 2):
-            raise ValueError(f"spatial dimension must be 1 or 2, got {self.dim}")
 
 
 def _is_count(v) -> bool:
@@ -118,6 +106,11 @@ class SparseMeasure:
         return float(np.sum(np.abs(self.amplitudes)))
 
 
+def kernel_peak(t, dim: int):
+    """Peak value G(0, t) = (4*pi*t)**(-dim/2); ``t`` may be one time or an array."""
+    return (4.0 * math.pi * t) ** (-dim / 2.0)
+
+
 def kernel_matrix(xs: np.ndarray, ts, points: np.ndarray) -> np.ndarray:
     """(n, P) matrix of kernel values G(x_i - q_j, t_i).
 
@@ -131,26 +124,13 @@ def kernel_matrix(xs: np.ndarray, ts, points: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)[:, None]
     diff = xs[:, None, :] - points[None, :, :]
     r2 = np.einsum("npd,npd->np", diff, diff)
-    return (4.0 * math.pi * ts) ** (-dim / 2.0) * np.exp(-r2 / (2.0 * ts))
+    return kernel_peak(ts, dim) * np.exp(-r2 / (2.0 * ts))
 
 
 def tensor_points(axes) -> np.ndarray:
     """(n_1 * ... * n_dim, dim) points of the tensor mesh of ``axes``, last axis fastest."""
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
-
-
-def green_kernel(displacement, t: float, params: KernelParams):
-    """Diffusion kernel (4*pi*t)**(-dim/2) * exp(-|displacement|**2 / (2*t)).
-
-    ``displacement`` may be a scalar (1D), a single point, or an (n, dim)
-    array; the return value is a float or an (n,) array accordingly.
-    """
-    if t <= 0:
-        raise ValueError(f"kernel time must be positive, got {t}")
-    pts, single = _as_points(displacement, params.dim)
-    vals = kernel_matrix(pts, t, np.zeros((1, params.dim)))[:, 0]
-    return float(vals[0]) if single else vals
 
 
 def evaluate_field(mu: SparseMeasure, x, t: float):
@@ -163,20 +143,6 @@ def evaluate_field(mu: SparseMeasure, x, t: float):
     else:
         vals = kernel_matrix(pts, t, mu.positions) @ mu.amplitudes
     return float(vals[0]) if single else vals
-
-
-def tv_norm(mu: SparseMeasure) -> float:
-    """Total variation norm of an atomic measure: sum of absolute amplitudes."""
-    return mu.tv_norm()
-
-
-def autocorrelation(x, lam: float) -> float:
-    """Gaussian similarity bump exp(-|x|**2 / (4*lam)); equals 1 at x = 0."""
-    if lam <= 0:
-        raise ValueError(f"width parameter must be positive, got {lam}")
-    arr = np.asarray(x, dtype=float)
-    r2 = float(np.sum(arr * arr))
-    return math.exp(-r2 / (4.0 * lam))
 
 
 def _standard_normal(n: int, seed: int) -> np.ndarray:

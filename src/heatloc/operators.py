@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import SparseMeasure, _as_points, kernel_matrix, tensor_points
+from .field import SparseMeasure, _as_points, kernel_matrix, kernel_peak, tensor_points
 
 __all__ = [
     "SampleSet",
@@ -166,15 +166,15 @@ class DualCertificate:
     def gradient_bound(self) -> float:
         """Upper bound on |grad nu| over all of space (sum of per-term maxima)."""
         ts = self.op.samples.ts
-        pref = (4.0 * math.pi * ts) ** (-self.op.dim / 2.0)
-        per_term = pref * math.exp(-0.5) / np.sqrt(ts)
+        per_term = kernel_peak(ts, self.op.dim) * math.exp(-0.5) / np.sqrt(ts)
         return float(np.abs(self.weights) @ per_term)
 
     def on_mesh(self, axes) -> np.ndarray:
         """Values on a tensor evaluation mesh, one 1D coordinate array per axis.
 
         Requires the sample set to be a tensor grid at a single time; the
-        evaluation then factorizes into per-axis kernel matrices.
+        evaluation then factorizes into per-axis 1D kernel matrices, whose
+        product is the dim-D kernel.
         """
         grid_axes = self.op.samples.grid_axes
         if grid_axes is None:
@@ -183,15 +183,14 @@ class DualCertificate:
         if len(axes) != len(grid_axes):
             raise ValueError("mesh must have one axis per dimension")
         t = float(self.op.samples.ts[0])
-        pref = (4.0 * math.pi * t) ** (-self.op.dim / 2.0)
         factors = [
-            np.exp(-((ax[None, :] - ga[:, None]) ** 2) / (2.0 * t))
+            kernel_matrix(ga.reshape(-1, 1), t, ax.reshape(-1, 1))
             for ax, ga in zip(axes, grid_axes)
         ]
         if len(axes) == 1:
-            return pref * (factors[0].T @ self.weights)
+            return factors[0].T @ self.weights
         W = self.weights.reshape(grid_axes[0].size, grid_axes[1].size)
-        return pref * (factors[0].T @ W @ factors[1])
+        return factors[0].T @ W @ factors[1]
 
 
 @dataclass(frozen=True)

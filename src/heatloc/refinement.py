@@ -163,15 +163,15 @@ select_peaks_2d = select_peaks_1d
 
 
 def recover_amplitudes(op: MeasurementOperator, support, b) -> SparseMeasure:
-    """Amplitudes on a fixed support by SVD pseudo-inverse of the restricted dictionary."""
-    pts = np.atleast_2d(np.asarray(support, dtype=float))
-    if pts.shape[0] == 0:
-        raise ValueError("support must be non-empty")
-    A = build_dictionary(op, pts)
+    """Amplitudes on a fixed support by SVD pseudo-inverse of the restricted dictionary.
+
+    ``support`` takes any point shape ``build_dictionary`` takes, (P,) in 1D included.
+    """
+    A = build_dictionary(op, support)
     if not np.any(A.entries):
         raise ValueError("dictionary restricted to the support is all zero")
     coeffs = np.linalg.pinv(A.entries, rcond=1e-12) @ np.asarray(b, dtype=float)
-    return SparseMeasure(pts, coeffs)
+    return SparseMeasure(A.points, coeffs)
 
 
 @dataclass

@@ -324,10 +324,12 @@ def solve_lasso(A, b, lam: float, cfg: SolverConfig | None = None, start=None) -
         p, atp, inf_norm, obj, dual_obj, ok = _lasso_kkt(mat, b, lam, x, cfg)
         steps += cold
     feas = float(np.linalg.norm(b - mat @ x - lam * p))  # definitional residual
-    cert = max(0.0, inf_norm - 1.0)
-    gap = abs(obj - dual_obj)
-    state = (x, p, feas, cert, _support_alignment(x, atp), gap, obj, dual_obj, steps)
-    return _outcome(state, converged=reached and ok)
+    kkt = KktResiduals(
+        feas, max(0.0, inf_norm - 1.0), _support_alignment(x, atp), abs(obj - dual_obj)
+    )
+    return SolveOutcome(
+        x, p, kkt, iterations=steps, converged=reached and ok, objective=obj, dual_objective=dual_obj
+    )
 
 
 def solve_l1_equality(A, b, cfg: SolverConfig | None = None) -> SolveOutcome:
@@ -382,21 +384,9 @@ def solve_l1_equality(A, b, cfg: SolverConfig | None = None) -> SolveOutcome:
     feas = float(np.linalg.norm(mat @ x - b))
     obj = float(np.sum(np.abs(x)))
     dual_obj = float(b @ p) / max(1.0, inf_norm)
-    state = (
-        x, p, feas, max(0.0, inf_norm - 1.0), _support_alignment(x, atp),
-        abs(obj - dual_obj), obj, dual_obj, steps,
+    kkt = KktResiduals(
+        feas, max(0.0, inf_norm - 1.0), _support_alignment(x, atp), abs(obj - dual_obj)
     )
-    return _outcome(state, converged=converged)
-
-
-def _outcome(state, converged: bool) -> SolveOutcome:
-    x, p, feas, cert, align, gap, obj, dual_obj, it = state
     return SolveOutcome(
-        primal=x,
-        dual=p,
-        kkt=KktResiduals(feas, cert, align, gap),
-        iterations=it,
-        converged=converged,
-        objective=obj,
-        dual_objective=dual_obj,
+        x, p, kkt, iterations=steps, converged=converged, objective=obj, dual_objective=dual_obj
     )

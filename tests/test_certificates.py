@@ -10,7 +10,6 @@ from heatloc.certificates import (
     build_certificate_g,
     calibrated_certificate,
     jackson_coefficients,
-    jackson_kernel,
     noisy_recovery_radius,
     recovery_radius,
     smallest_feasible_m,
@@ -29,24 +28,41 @@ from oracles import (
 )
 
 
+def _jackson_from_multipliers(p, x):
+    """The Jackson kernel (1/2pi) * sum_n m_p(n) exp(i n x), from the multipliers the code uses."""
+    mult = _jackson_multiplier(p)
+    n = np.arange(-2 * p, 2 * p + 1)
+    return np.cos(np.multiply.outer(x, n)) @ mult / (2.0 * math.pi)
+
+
 class TestJacksonKernel:
     @pytest.mark.parametrize("p", [4, 8, 16])
     def test_unit_integral(self, p):
         x = np.linspace(-math.pi, math.pi, 20001)
-        assert np.trapezoid(jackson_kernel(p, x), x) == pytest.approx(1.0, abs=1e-9)
+        vals = _jackson_from_multipliers(p, x)
+        assert np.min(vals) >= -1e-12
+        assert np.trapezoid(vals, x) == pytest.approx(1.0, abs=1e-9)
 
     def test_even(self):
+        mult = _jackson_multiplier(5)
+        np.testing.assert_array_equal(mult, mult[::-1])
         x = np.linspace(0.01, math.pi, 57)
-        np.testing.assert_array_equal(jackson_kernel(5, x), jackson_kernel(5, -x))
+        np.testing.assert_array_equal(_jackson_from_multipliers(5, x), _jackson_from_multipliers(5, -x))
 
     def test_continuous_extension_at_zero(self):
-        ratio_limit = jackson_kernel(6, 0.0) / jackson_kernel(6, 1e-9)
-        assert ratio_limit == pytest.approx(1.0, rel=1e-9)
+        # (sin(p x/2) / sin(x/2))**4 / (2 pi a0) tends to p**4 / (2 pi a0) at x = 0,
+        # with a0 = p (2 p**2 + 1) / 3 its constant Fourier coefficient
+        p = 6
+        a0 = p * (2 * p * p + 1) / 3.0
+        assert _jackson_from_multipliers(p, 0.0) == pytest.approx(p**4 / (2 * math.pi * a0), rel=1e-13)
+        x = 0.3
+        closed = (math.sin(p * x / 2) / math.sin(x / 2)) ** 4 / (2 * math.pi * a0)
+        assert _jackson_from_multipliers(p, x) == pytest.approx(closed, rel=1e-12)
 
     def test_first_moment_decays(self):
         x = np.linspace(-math.pi, math.pi, 32769)
-        m8 = np.trapezoid(np.abs(x) * jackson_kernel(8, x), x)
-        m16 = np.trapezoid(np.abs(x) * jackson_kernel(16, x), x)
+        m8 = np.trapezoid(np.abs(x) * _jackson_from_multipliers(8, x), x)
+        m16 = np.trapezoid(np.abs(x) * _jackson_from_multipliers(16, x), x)
         assert m16 <= 0.6 * m8
 
 

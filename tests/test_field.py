@@ -3,60 +3,81 @@ import math
 import numpy as np
 import pytest
 
+from heatloc.certificates import (
+    CertConfig,
+    _bump,
+    recovery_radius,
+    verify_soft_conditions,
+    verify_soft_stable_inequality,
+)
 from heatloc.field import (
-    KernelParams,
     SparseMeasure,
     add_noise,
-    autocorrelation,
     evaluate_field,
-    green_kernel,
-    tv_norm,
+    kernel_matrix,
+    kernel_peak,
+    tensor_points,
 )
+
+
+def green(x, t):
+    """G(x, t) at displacement(s) ``x`` of shape (n, dim), through the one kernel evaluator."""
+    x = np.asarray(x, dtype=float)
+    return kernel_matrix(x, t, np.zeros((1, x.shape[1])))[:, 0]
 
 
 class TestGreenKernel:
     def test_zero_displacement_2d(self):
-        assert green_kernel((0.0, 0.0), 0.5, KernelParams(2)) == pytest.approx(1 / (2 * math.pi))
+        assert green([[0.0, 0.0]], 0.5)[0] == pytest.approx(1 / (2 * math.pi), rel=1e-15)
+        assert kernel_peak(0.5, 2) == pytest.approx(1 / (2 * math.pi), rel=1e-15)
 
     def test_zero_displacement_1d(self):
-        assert green_kernel(0.0, 1.0, KernelParams(1)) == pytest.approx((4 * math.pi) ** -0.5)
+        assert green([[0.0]], 1.0)[0] == pytest.approx((4 * math.pi) ** -0.5, rel=1e-15)
+        assert kernel_peak(1.0, 1) == pytest.approx((4 * math.pi) ** -0.5, rel=1e-15)
 
     def test_unit_exponent_1d(self):
         expected = (4 * math.pi) ** -0.5 * math.exp(-1.0)
-        assert green_kernel(math.sqrt(2.0), 1.0, KernelParams(1)) == pytest.approx(expected, rel=1e-12)
+        assert green([[math.sqrt(2.0)]], 1.0)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_nonpositive_time(self):
+        # the kernel itself does not check its time; the field synthesis does
+        mu = SparseMeasure.from_1d([0.0], [1.0])
         with pytest.raises(ValueError):
-            green_kernel(0.0, 0.0, KernelParams(1))
+            evaluate_field(mu, 0.0, 0.0)
         with pytest.raises(ValueError):
-            green_kernel(0.0, -1.0, KernelParams(1))
+            evaluate_field(mu, 0.0, -1.0)
 
     def test_positive_and_symmetric(self):
         rng = np.random.default_rng(0)
         for dim in (1, 2):
-            params = KernelParams(dim)
             for _ in range(50):
-                x = rng.standard_normal(dim) * 3
+                x = rng.standard_normal((1, dim)) * 3
                 t = float(rng.uniform(0.05, 4.0))
-                v = green_kernel(x, t, params)
-                assert v > 0
-                assert v == green_kernel(-x, t, params)
+                v = green(x, t)[0]
+                assert 0 < v <= kernel_peak(t, dim)
+                assert v == green(-x, t)[0]
+
+    def test_peak_is_the_kernel_at_zero(self):
+        # kernel_matrix's prefactor is kernel_peak's value, bit for bit, for
+        # one time and for one time per row
+        ts = np.array([0.05, 0.28, 1.0, 3.7])
+        for dim in (1, 2):
+            zero = np.zeros((ts.size, dim))
+            np.testing.assert_array_equal(kernel_matrix(zero, ts, zero[:1])[:, 0], kernel_peak(ts, dim))
+            for t in ts:
+                assert green(zero[:1], float(t))[0] == kernel_peak(float(t), dim)
 
     def test_mass_matches_convention(self):
         # with the 2t exponent convention the total mass is 2**(-dim/2), not 1
         for dim, t in [(1, 0.7), (2, 0.3)]:
-            params = KernelParams(dim)
             half = 10.0 * math.sqrt(t)
             n = 4001
             axis = np.linspace(-half, half, n)
             w = np.gradient(axis)
             if dim == 1:
-                vals = green_kernel(axis.reshape(-1, 1), t, params)
-                integral = float(vals @ w)
+                integral = float(green(axis.reshape(-1, 1), t) @ w)
             else:
-                xx, yy = np.meshgrid(axis, axis, indexing="ij")
-                pts = np.stack([xx.ravel(), yy.ravel()], axis=-1)
-                vals = green_kernel(pts, t, params).reshape(n, n)
+                vals = green(tensor_points([axis, axis]), t).reshape(n, n)
                 integral = float(w @ vals @ w)
             assert integral == pytest.approx(2.0 ** (-dim / 2), abs=1e-8)
 
@@ -122,9 +143,9 @@ class TestEvaluateField:
 
 class TestTvNorm:
     def test_examples(self):
-        assert tv_norm(SparseMeasure.from_1d([0, 1, 2], [1.0, -2.0, 3.0])) == 6.0
-        assert tv_norm(SparseMeasure.from_1d([0.5], [0.25])) == 0.25
-        assert tv_norm(SparseMeasure.from_1d([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])) == 3.0
+        assert SparseMeasure.from_1d([0, 1, 2], [1.0, -2.0, 3.0]).tv_norm() == 6.0
+        assert SparseMeasure.from_1d([0.5], [0.25]).tv_norm() == 0.25
+        assert SparseMeasure.from_1d([1.0, 2.0, 3.0], [1.0, 1.0, 1.0]).tv_norm() == 3.0
 
     def test_norm_properties(self):
         rng = np.random.default_rng(2)
@@ -134,28 +155,46 @@ class TestTvNorm:
             a1, a2 = rng.standard_normal(n), rng.standard_normal(n)
             mu1, mu2 = SparseMeasure.from_1d(pos, a1), SparseMeasure.from_1d(pos, a2)
             summed = SparseMeasure.from_1d(pos, a1 + a2)
-            assert tv_norm(summed) <= tv_norm(mu1) + tv_norm(mu2) + 1e-12
+            assert summed.tv_norm() <= mu1.tv_norm() + mu2.tv_norm() + 1e-12
             c = float(rng.standard_normal())
-            assert tv_norm(SparseMeasure.from_1d(pos, c * a1)) == pytest.approx(abs(c) * tv_norm(mu1))
+            assert SparseMeasure.from_1d(pos, c * a1).tv_norm() == pytest.approx(abs(c) * mu1.tv_norm())
 
 
 class TestAutocorrelation:
     def test_examples(self):
         lam = 0.37
-        assert autocorrelation(0.0, lam) == 1.0
-        assert autocorrelation(math.sqrt(4 * lam * math.log(2)), lam) == pytest.approx(0.5)
-        assert autocorrelation(2 * math.sqrt(lam), lam) == pytest.approx(math.exp(-1))
+        assert _bump(0.0, lam) == 1.0
+        assert _bump(4 * lam * math.log(2), lam) == pytest.approx(0.5, rel=1e-15)
+        assert _bump(4 * lam, lam) == pytest.approx(math.exp(-1), rel=1e-15)
 
     def test_monotone_in_radius_and_width(self):
         radii = np.linspace(0.0, 3.0, 20)
-        vals = [autocorrelation(r, 0.2) for r in radii]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
+        vals = _bump(radii**2, 0.2)
+        assert np.all(np.diff(vals) < 0)
         for r in (0.5, 1.0):
-            assert autocorrelation(r, 0.1) < autocorrelation(r, 0.2)
+            assert _bump(r * r, 0.1) < _bump(r * r, 0.2)
 
     def test_rejects_bad_width(self):
-        with pytest.raises(ValueError):
-            autocorrelation(1.0, 0.0)
+        # the bump evaluator trusts its width; the lab checks it where it enters
+        mu = SparseMeasure(np.array([[0.1, -0.2]]), [1.0])
+        for lam in (0.0, -0.1):
+            with pytest.raises(ValueError):
+                CertConfig(lam=lam, m=8, p_jackson=2)
+            with pytest.raises(ValueError):
+                verify_soft_conditions(None, mu, 0, lam)
+            with pytest.raises(ValueError):
+                recovery_radius(0.5, 1.0, lam)
+            with pytest.raises(ValueError):
+                verify_soft_stable_inequality(None, np.zeros(3), None, lam, 1.0, 0.0)
+
+    def test_is_the_kernel_at_twice_the_width(self):
+        # bump(x) = G(x, 2 lam) / G(0, 2 lam): the identity the certificate lab rests on
+        rng = np.random.default_rng(8)
+        for dim in (1, 2):
+            for lam in (0.002, 1 / 16, 0.37):
+                x = rng.standard_normal((40, dim)) * 3 * math.sqrt(lam)
+                ratio = green(x, 2 * lam) / kernel_peak(2 * lam, dim)
+                np.testing.assert_allclose(_bump(np.sum(x * x, axis=1), lam), ratio, rtol=1e-14, atol=0)
 
 
 class TestAddNoise:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from heatloc.field import SparseMeasure, green_kernel, KernelParams, tv_norm
+from heatloc.field import SparseMeasure, tensor_points
 from heatloc.operators import (
     DualCertificate,
     MeasurementOperator,
@@ -44,7 +44,7 @@ class TestMeasure:
         x0 = float(op.samples.xs[3, 0])
         mu = SparseMeasure.from_1d([x0], [1.0])
         b = measure(op, mu)
-        assert b[3] == pytest.approx(green_kernel(0.0, 0.28, KernelParams(1)))
+        assert b[3] == pytest.approx((4 * math.pi * 0.28) ** -0.5, rel=1e-15)
 
     def test_zero_measure(self):
         op = make_op_1d()
@@ -69,7 +69,8 @@ class TestCertificate:
         lam = np.zeros(op.d)
         lam[5] = 1.0
         x = 1.234
-        expected = green_kernel(x - op.samples.xs[5, 0], float(op.samples.ts[5]), KernelParams(1))
+        r, t = x - op.samples.xs[5, 0], float(op.samples.ts[5])
+        expected = (4 * math.pi * t) ** -0.5 * math.exp(-r * r / (2 * t))
         assert certificate_eval(op, lam, x) == pytest.approx(expected, rel=1e-14)
 
     def test_weight_length_checked(self):
@@ -94,7 +95,7 @@ class TestCertificate:
             lam = rng.standard_normal(op.d)
             lhs = float(measure(op, mu) @ lam)
             rhs = float(np.sum(mu.amplitudes * certificate_eval(op, lam, mu.positions)))
-            scale = np.linalg.norm(lam) * tv_norm(mu)
+            scale = np.linalg.norm(lam) * mu.tv_norm()
             assert abs(lhs - rhs) <= 1e-12 * max(scale, 1.0)
 
     def test_gradient_against_finite_differences(self):
@@ -113,17 +114,32 @@ class TestCertificate:
                 fd[j] = (certificate_eval(op, lam, x + e) - certificate_eval(op, lam, x - e)) / (2 * h)
             assert np.max(np.abs(g - fd)) <= 1e-5 * max(1.0, np.max(np.abs(fd)))
 
-    def test_mesh_evaluation_matches_direct(self):
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_mesh_evaluation_matches_direct(self, dim):
         rng = np.random.default_rng(5)
         ax = np.linspace(-1.0, 1.0, 7)
-        op = MeasurementOperator(SampleSet.grid((ax, ax), 0.2))
+        op = MeasurementOperator(SampleSet.grid((ax,) * dim, 0.2))
         cert = DualCertificate(op, rng.standard_normal(op.d))
-        mx = np.linspace(-1.2, 1.2, 11)
-        my = np.linspace(-0.9, 0.9, 13)
-        mesh_vals = cert.on_mesh((mx, my))
-        xx, yy = np.meshgrid(mx, my, indexing="ij")
-        direct = cert(np.stack([xx.ravel(), yy.ravel()], axis=-1)).reshape(11, 13)
+        mesh = [np.linspace(-1.2, 1.2, 11), np.linspace(-0.9, 0.9, 13)][:dim]
+        mesh_vals = cert.on_mesh(mesh)
+        direct = cert(tensor_points(mesh)).reshape([m.size for m in mesh])
         np.testing.assert_allclose(mesh_vals, direct, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_gradient_bound_holds_on_dense_mesh(self, dim):
+        rng = np.random.default_rng(6)
+        ax = np.linspace(-1.0, 1.0, 9)
+        op = MeasurementOperator(SampleSet.grid((ax,) * dim, 0.05))
+        mesh = tensor_points([np.linspace(-1.5, 1.5, 2001 if dim == 1 else 241)] * dim)
+        one = np.zeros(op.d)
+        one[op.d // 2] = -2.5
+        for weights in (rng.standard_normal(op.d), one):
+            cert = DualCertificate(op, weights)
+            grad = certificate_gradient(op, weights, mesh)
+            observed = float(np.max(np.linalg.norm(grad, axis=1)))
+            assert observed <= cert.gradient_bound()
+        # one kernel reaches its bound on the circle |x - x_k| = sqrt(t)
+        assert observed == pytest.approx(cert.gradient_bound(), rel=1e-3)
 
 
 class TestDictionary:

@@ -213,6 +213,23 @@ class TestRecoverAmplitudes:
         with pytest.raises(ValueError):
             recover_amplitudes(op, np.empty((0, 1)), np.zeros(op.d))
 
+    def test_support_point_shapes(self):
+        # a 1D support may be (P,) or (P, 1), as build_dictionary takes either
+        op = reference_op_1d()
+        truth = SparseMeasure.from_1d([1.1, 3.0, 4.9], [1.0, -0.5, 2.0])
+        b = measure(op, truth)
+        flat = recover_amplitudes(op, np.array([1.1, 3.0, 4.9]), b)
+        column = recover_amplitudes(op, truth.positions, b)
+        assert flat.positions.tobytes() == column.positions.tobytes()
+        assert flat.amplitudes.tobytes() == column.amplitudes.tobytes()
+        # a (P, 2) support in 2D keeps its points and its fit
+        ax = np.linspace(0.0, 1.0, 6)
+        op2 = MeasurementOperator(SampleSet.grid((ax, ax), 0.02))
+        truth2 = SparseMeasure(np.array([[0.3, 0.6], [0.7, 0.2]]), [1.0, 0.5])
+        est2 = recover_amplitudes(op2, truth2.positions, measure(op2, truth2))
+        np.testing.assert_array_equal(est2.positions, truth2.positions)
+        np.testing.assert_allclose(est2.amplitudes, truth2.amplitudes, rtol=1e-10)
+
     def test_perturbed_support_with_spurious_atom(self):
         # amplitude errors shrink as the support perturbation shrinks, and a
         # far spurious atom receives negligible mass
