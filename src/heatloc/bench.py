@@ -52,7 +52,7 @@ __all__ = [
     "lasso_lambda_universal",
 ]
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 class ConfigError(ValueError):
@@ -332,6 +332,8 @@ class MetricsRecord:
     rounds: int
     per_round: list  # RoundDiagnostics of each refinement round as dicts; [] for the baseline
     refinement_stopped: bool
+    stopped_by: str | None  # RecoveryResult.stopped_by; None for the baseline
+    continuum_gap: float  # the last round's max |nu| - 1 over the domain; nan for the baseline
     inner_solves_converged: bool
     kkt_feasibility: float
     kkt_certificate_bound: float
@@ -473,6 +475,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
         rounds=rounds,
         per_round=[dataclasses.asdict(dg) for dg in result.per_round] if result else [],
         refinement_stopped=stopped,
+        stopped_by=result.stopped_by if result else None,
+        continuum_gap=result.continuum_gap if result else math.nan,
         inner_solves_converged=inner_ok,
         kkt_feasibility=kkt.feasibility if kkt else math.nan,
         kkt_certificate_bound=kkt.certificate_bound if kkt else math.nan,

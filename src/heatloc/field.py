@@ -122,8 +122,12 @@ def kernel_matrix(xs: np.ndarray, ts, points: np.ndarray) -> np.ndarray:
     # scalar one in the last bit, and field outputs are byte-stable records
     if np.ndim(ts):
         ts = np.asarray(ts, dtype=float)[:, None]
-    diff = xs[:, None, :] - points[None, :, :]
-    r2 = np.einsum("npd,npd->np", diff, diff)
+    # one axis at a time: broadcasting over a trailing axis of length dim is
+    # several times slower, and the squared distances come out the same bits
+    r2 = 0.0
+    for x, q in zip(xs.T, points.T):
+        diff = x[:, None] - q[None, :]
+        r2 = r2 + diff * diff
     return kernel_peak(ts, dim) * np.exp(-r2 / (2.0 * ts))
 
 

@@ -141,8 +141,9 @@ def certificate_gradient(op: MeasurementOperator, lam: np.ndarray, x):
     pts, single = _as_points(x, op.dim)
     xs, ts = op.samples.xs, op.samples.ts
     K = kernel_matrix(xs, ts, pts)
-    pull = (xs[:, None, :] - pts[None, :, :]) / ts[:, None, None]
-    grad = np.einsum("i,ip,ipd->pd", lam, K, pull)
+    w = lam / ts
+    # sum_i w_i G (x_i - x) as two matrix-vector products, not a (d, P, dim) array
+    grad = ((w[:, None] * xs).T @ K - (w @ K) * pts.T).T
     return grad[0] if single else grad
 
 

@@ -1,14 +1,20 @@
 """Adaptive grid refinement driven by dual certificates.
 
-One round = solve the discretized dual on the current candidate grid, keep
-the grid points where the certificate has near-unit modulus, and insert new
-candidates at half the local spacing around them.  The grid only grows, with
-old points first, so each round appends the new points' columns to the last
-round's dictionary, and a noisy round's LASSO path starts from the last
-round's solution.  After the loop the final round's primal coefficients are
-condensed into source positions, in 1D and 2D alike: atoms closer than one
-kernel width are chained and each chain becomes its mass-weighted centroid.
-Amplitudes are then recovered by a pseudo-inverse on that support.
+One round = solve the discretized dual on the current candidate grid and
+measure the continuum optimality gap ``max_x |nu(x)| - 1`` of its
+certificate over the whole domain (the optimality condition of the
+continuous TV-norm problem, Duval & Peyre 2015).  The loop stops once the gap
+is at most ``_GAP_TOL``.  Otherwise it keeps the grid points where the
+certificate has near-unit modulus, inserts new candidates at half the local
+spacing around them, and adds the points where the certificate exceeds
+``1 + _GAP_TOL`` off the grid (the exchange step of Flinth, de Gournay &
+Weiss 2021).  The grid only grows, with old points first, so each round
+appends the new points' columns to the last round's dictionary, and a noisy
+round's LASSO path starts from the last round's solution.  After the loop
+the final round's primal coefficients are condensed into source positions,
+in 1D and 2D alike: atoms closer than one kernel width are chained and each
+chain becomes its mass-weighted centroid.  Amplitudes are then recovered by
+a pseudo-inverse on that support.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import operators
 from .field import SparseMeasure, tensor_points
 from .operators import DictionaryMatrix, DualCertificate, MeasurementOperator, build_dictionary
 from .solvers import SolveOutcome, SolverConfig, solve_l1_equality, solve_lasso
@@ -31,11 +38,17 @@ __all__ = [
     "run_refinement",
     "select_peaks_1d",
     "refine_grid",
+    "exchange_step",
+    "continuum_gap",
     "recover_amplitudes",
 ]
 
 _KEY_DECIMALS = 9  # grid points closer than 1e-9 are considered identical
 _MIN_CHAIN_MASS = 1e-3  # chains lighter than this share of |x|_1 are dropped
+_GAP_TOL = 1e-4  # refinement stops once max |nu| over the domain is at most 1 + this
+_MESH_PER_WIDTH = 4  # gap mesh points per kernel width sqrt(t) along each axis
+_NEWTON_STEPS = 2  # Newton steps from each mesh maximum and selected grid point
+_START_MARGIN = 0.1  # points where |nu| is below 1 - this start no Newton steps
 
 
 def default_peak_threshold(k: int) -> float:
@@ -117,6 +130,109 @@ def refine_grid(grid: CandidateGrid, selected) -> CandidateGrid:
     return CandidateGrid(pts[first[order]], folded[order], grid.lo, grid.hi)
 
 
+def exchange_step(grid: CandidateGrid, selected, points) -> CandidateGrid:
+    """``refine_grid(grid, selected)``, then the points of ``points`` (n, dim) it does not resolve.
+
+    A point farther from its nearest point of the refined grid than half
+    that point's spacing, which the next refinement around it would not
+    reach, is appended after the refined grid at half that spacing.
+    """
+    refined = refine_grid(grid, selected)
+    pts = np.asarray(points, dtype=float).reshape(-1, grid.dim)
+    d2 = np.sum((pts[:, None, :] - refined.points[None, :, :]) ** 2, axis=-1)
+    near = np.argmin(d2, axis=1)
+    half = 0.5 * refined.spacing[near]
+    far = d2[np.arange(pts.shape[0]), near] > half**2
+    if not far.any():
+        return refined
+    return CandidateGrid(
+        np.concatenate([refined.points, pts[far]]),
+        np.concatenate([refined.spacing, half[far]]),
+        grid.lo, grid.hi,
+    )
+
+
+def continuum_gap(certificate: DualCertificate, lo, hi, points, values) -> tuple[float, np.ndarray]:
+    """``max |nu| - 1`` over the box [lo, hi], and the points where |nu| exceeds ``1 + _GAP_TOL``.
+
+    ``values`` are the certificate's values at ``points`` (n, dim), such as
+    the selected grid points.  nu is also evaluated on a tensor mesh of
+    ``_MESH_PER_WIDTH`` points per kernel width sqrt(t) (the smallest sample
+    time).  The mesh nodes where |nu| is a local maximum over their 3**dim
+    block and the given points, if |nu| is at least ``1 - _START_MARGIN``
+    there, start ``_NEWTON_STEPS`` Newton steps toward a maximum of |nu|:
+    the highest of them per mesh node they round to.  The Hessian is a
+    forward difference of ``certificate_gradient`` over 1e-5 kernel widths.
+    Where it is not definite with the sign opposite to nu's, the step is
+    t * grad nu / nu instead, which lands on the peak of a single Gaussian
+    bump; every step is cut to one mesh spacing and clipped to the box.  The
+    gap is the largest |nu| seen, minus 1.  The returned points are the
+    endpoints above ``1 + _GAP_TOL``, highest first, less those within half
+    a mesh spacing of a higher one.
+    """
+    op = certificate.op
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    t = float(np.min(op.samples.ts))
+    n = np.array([math.ceil((h - l) * _MESH_PER_WIDTH / math.sqrt(t)) + 1 for l, h in zip(lo, hi)])
+    spacing = (hi - lo) / (n - 1)
+    axes = [l + s * np.arange(m) for l, s, m in zip(lo, spacing, n)]
+    if op.samples.grid_axes is not None:
+        mesh = certificate.on_mesh(axes)
+    else:
+        mesh = certificate(tensor_points(axes)).reshape(n)
+    # local maxima of |nu| on the mesh, as flat indices into its zero-padded copy
+    padded = np.zeros(n + 2)
+    padded[(slice(1, -1),) * op.dim] = np.abs(mesh)
+    flat = padded.ravel()
+    block = np.ravel_multi_index(tuple(tensor_points([[-1, 0, 1]] * op.dim).astype(int).T + 1), n + 2)
+    node = np.flatnonzero(flat >= 1.0 - _START_MARGIN)
+    node = node[np.all(flat[node, None] >= flat[node[:, None] + block - block[block.size // 2]], axis=1)]
+    node = np.stack(np.unravel_index(node, n + 2), axis=-1) - 1
+    keep = np.abs(values) >= 1.0 - _START_MARGIN
+    x = np.concatenate([lo + spacing * node, np.asarray(points, dtype=float).reshape(-1, op.dim)[keep]])
+    v = np.concatenate([mesh[tuple(node.T)], np.asarray(values, dtype=float)[keep]])
+    best = max(float(np.max(flat)), float(np.max(np.abs(values), initial=0.0)))
+    # one start per mesh node: the highest point that rounds to it
+    order = np.argsort(-np.abs(v), kind="stable")
+    cell = np.ravel_multi_index(tuple(np.round((x[order] - lo) / spacing).astype(int).T), n, mode="clip")
+    _, first = np.unique(cell, return_index=True)
+    x, v = x[order[first]], v[order[first]]
+    if x.shape[0] == 0:
+        return best - 1.0, x
+    eps = 1e-5 * math.sqrt(t)
+    probe = eps * np.eye(op.dim + 1, op.dim, -1)  # x, then x + eps along each axis
+    for _ in range(_NEWTON_STEPS):
+        at = (probe[:, None, :] + x[None, :, :]).reshape(-1, op.dim)
+        grads = operators.certificate_gradient(op, certificate.weights, at).reshape(op.dim + 1, -1, op.dim)
+        g = grads[0]
+        # the Hessian [[a, b], [b, c]] (or [[a]] in 1D) in closed form
+        hess = (grads[1:] - g) / eps
+        a = hess[0, :, 0]
+        if op.dim == 1:
+            det, adj = a, g
+            ok = np.sign(v) * a < 0.0
+        else:
+            b, c = 0.5 * (hess[0, :, 1] + hess[1, :, 0]), hess[1, :, 1]
+            det = a * c - b * b
+            adj = np.stack([c * g[:, 0] - b * g[:, 1], a * g[:, 1] - b * g[:, 0]], axis=-1)
+            ok = (np.sign(v) * a < 0.0) & (det > 0.0)
+        step = np.where(ok[:, None], -adj / np.where(ok, det, 1.0)[:, None], t * g / v[:, None])
+        length = np.linalg.norm(step, axis=1)
+        cut = np.min(spacing) / np.maximum(length, np.min(spacing))
+        x = np.clip(x + cut[:, None] * step, lo, hi)
+    f = np.abs(certificate(x))
+    best = max(best, float(np.max(f)))
+    order = np.argsort(-f, kind="stable")
+    x = x[order[f[order] > 1.0 + _GAP_TOL]]
+    near = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1) <= (0.5 * np.min(spacing)) ** 2
+    keep = np.ones(x.shape[0], dtype=bool)
+    for i in range(x.shape[0]):
+        if keep[i]:
+            keep[i + 1:] &= ~near[i, i + 1:]
+    return best - 1.0, x[keep]
+
+
 def select_peaks_1d(positions, coefficients, width: float) -> np.ndarray:
     """Source positions from grid coefficients, one per chain of atoms.
 
@@ -179,7 +295,6 @@ class RefinementConfig:
     lo: np.ndarray
     hi: np.ndarray
     initial_points_per_dim: int = 16
-    stop_tol: float | None = None          # default 1e-4 noiseless, 1e-6 noisy
     max_rounds: int = 12
     lasso_lambda: float | Callable[[np.ndarray], float] | None = None
     solver: SolverConfig | None = None
@@ -187,8 +302,6 @@ class RefinementConfig:
     def __post_init__(self) -> None:
         self.lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
         self.hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
-        if self.stop_tol is not None and self.stop_tol <= 0:
-            raise ValueError("stop_tol must be positive")
         if self.initial_points_per_dim < 1 or self.max_rounds < 1:
             raise ValueError("initial_points_per_dim and max_rounds must be >= 1")
 
@@ -203,11 +316,16 @@ class RoundDiagnostics:
     duality_gap: float
     solver_iterations: int
     solver_converged: bool
+    continuum_gap: float  # max |nu| - 1 over the domain, see continuum_gap
 
 
 @dataclass(frozen=True)
 class RecoveryResult:
     """Refinement output; ``converged`` means the round-level stopping rule fired.
+
+    ``continuum_gap`` is the last round's ``max |nu| - 1`` over the domain;
+    the rule fires (``stopped_by == "certificate_gap"``) once it is at most
+    ``_GAP_TOL``.
 
     Inner-solver convergence per round is tracked in ``per_round``; a round
     whose solve hits its step cap is flagged there and the path point it
@@ -221,8 +339,9 @@ class RecoveryResult:
     rounds: int
     per_round: list[RoundDiagnostics]
     converged: bool
-    stopped_by: str  # objective_stall | empty_selection | max_rounds
+    stopped_by: str  # certificate_gap | empty_selection | max_rounds
     last_outcome: SolveOutcome
+    continuum_gap: float
 
     @property
     def solver_all_converged(self) -> bool:
@@ -233,8 +352,10 @@ def run_refinement(op: MeasurementOperator, b, cfg: RefinementConfig, noisy: boo
     """Full certificate-driven refinement loop followed by amplitude recovery.
 
     Noiseless data is fit with the equality-constrained l1 problem, noisy data
-    with the LASSO; the loop stops when the dual objective stalls, the round
-    budget is exhausted, or no grid point clears the selection threshold.
+    with the LASSO; the loop stops when the certificate's continuum gap
+    ``max |nu| - 1`` is at most ``_GAP_TOL`` (the same rule for both), when
+    the round budget is exhausted, or when no grid point clears the selection
+    threshold and no off-grid point exceeds ``1 + _GAP_TOL``.
     Each noisy round warm-starts the LASSO path from the previous round's
     primal; the equality solve always starts from zero (see
     :mod:`heatloc.solvers`).
@@ -242,7 +363,6 @@ def run_refinement(op: MeasurementOperator, b, cfg: RefinementConfig, noisy: boo
     b = np.asarray(b, dtype=float)
     if b.shape != (op.d,):
         raise ValueError(f"data has shape {b.shape}, expected ({op.d},)")
-    stop_tol = cfg.stop_tol if cfg.stop_tol is not None else (1e-6 if noisy else 1e-4)
     scfg = cfg.solver or SolverConfig(
         tol_primal=1e-7 if noisy else 1e-9, tol_dual=1e-7 if noisy else 1e-9
     )
@@ -256,11 +376,10 @@ def run_refinement(op: MeasurementOperator, b, cfg: RefinementConfig, noisy: boo
     A = build_dictionary(op, grid)
     diagnostics: list[RoundDiagnostics] = []
     outcome = None
-    prev_obj = None
     stopped_by = "max_rounds"
 
     for k in range(1, cfg.max_rounds + 1):
-        # refine_grid keeps the old points first and in order, so the
+        # exchange_step keeps the old points first and in order, so the
         # dictionary only gains the columns of the new points
         if grid.size > A.shape[1]:
             new = build_dictionary(op, grid.points[A.shape[1]:])
@@ -273,37 +392,37 @@ def run_refinement(op: MeasurementOperator, b, cfg: RefinementConfig, noisy: boo
             outcome = solve_lasso(A, b, lam, scfg, start=start)
             # per-unit-penalty dual value: comparable across rounds on the
             # same O(1) scale as the equality dual objective
-            stop_obj = outcome.dual_objective / lam
+            dual_obj = outcome.dual_objective / lam
         else:
             outcome = solve_l1_equality(A, b, scfg)
-            stop_obj = outcome.dual_objective
+            dual_obj = outcome.dual_objective
 
+        certificate = DualCertificate(op, outcome.dual)
         nu = A.entries.T @ outcome.dual
         thr = default_peak_threshold(k)
         sel_mask = np.abs(nu) >= thr
+        gap, violators = continuum_gap(certificate, cfg.lo, cfg.hi, grid.points[sel_mask], nu[sel_mask])
         diagnostics.append(
             RoundDiagnostics(
                 round=k,
                 grid_size=grid.size,
                 threshold=thr,
                 n_selected=int(sel_mask.sum()),
-                dual_objective=stop_obj,
+                dual_objective=dual_obj,
                 duality_gap=outcome.kkt.duality_gap,
                 solver_iterations=outcome.iterations,
                 solver_converged=outcome.converged,
+                continuum_gap=gap,
             )
         )
-        if prev_obj is not None and abs(stop_obj - prev_obj) < stop_tol:
-            stopped_by = "objective_stall"
+        if gap <= _GAP_TOL:
+            stopped_by = "certificate_gap"
             break
-        prev_obj = stop_obj
-        if not sel_mask.any():
+        if not sel_mask.any() and violators.shape[0] == 0:
             stopped_by = "empty_selection"
             break
         if k < cfg.max_rounds:
-            grid = refine_grid(grid, sel_mask)
-
-    certificate = DualCertificate(op, outcome.dual)
+            grid = exchange_step(grid, sel_mask, violators)
 
     # the final round's coefficients, chained within one kernel width
     width = math.sqrt(float(np.min(op.samples.ts)))
@@ -321,7 +440,8 @@ def run_refinement(op: MeasurementOperator, b, cfg: RefinementConfig, noisy: boo
         nu=nu,
         rounds=len(diagnostics),
         per_round=diagnostics,
-        converged=stopped_by in ("objective_stall", "empty_selection"),
+        converged=stopped_by in ("certificate_gap", "empty_selection"),
         stopped_by=stopped_by,
         last_outcome=outcome,
+        continuum_gap=gap,
     )

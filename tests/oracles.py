@@ -6,13 +6,15 @@ import numpy as np
 from scipy.optimize import least_squares, linprog, minimize
 
 from heatloc.field import SparseMeasure
-from heatloc.operators import build_dictionary, measure
+from heatloc.operators import DualCertificate, build_dictionary, measure
 from heatloc.refinement import (
+    _GAP_TOL,
     _KEY_DECIMALS,
     CandidateGrid,
+    continuum_gap,
     default_peak_threshold,
+    exchange_step,
     recover_amplitudes,
-    refine_grid,
     select_peaks_1d,
 )
 from heatloc.solvers import SolverConfig, solve_l1_equality, solve_lasso
@@ -153,33 +155,33 @@ def refinement_cold_loop(op, b, cfg, noisy: bool):
     """The refinement loop with a full dictionary rebuild and a cold solve per round.
 
     Returns ``(per_round, estimate)``: one ``(grid_size, n_selected)`` pair
-    per round and the recovered measure.  Same stop rule, thresholds,
-    extraction and amplitude recovery as ``run_refinement``.
+    per round and the recovered measure.  Same stop rule (the continuum gap
+    at most ``_GAP_TOL``), thresholds, exchange step, extraction and
+    amplitude recovery as ``run_refinement``.
     """
     b = np.asarray(b, dtype=float)
-    stop_tol = cfg.stop_tol if cfg.stop_tol is not None else (1e-6 if noisy else 1e-4)
     tol = 1e-7 if noisy else 1e-9
     scfg = cfg.solver or SolverConfig(tol_primal=tol, tol_dual=tol)
     lam = cfg.lasso_lambda(b) if callable(cfg.lasso_lambda) else cfg.lasso_lambda
     grid = CandidateGrid.uniform(cfg.lo, cfg.hi, cfg.initial_points_per_dim)
-    per_round, prev_obj = [], None
+    per_round = []
     for k in range(1, cfg.max_rounds + 1):
         A = build_dictionary(op, grid)
         if noisy:
             out = solve_lasso(A, b, lam, scfg)
-            obj = out.dual_objective / lam
         else:
             out = solve_l1_equality(A, b, scfg)
-            obj = out.dual_objective
-        sel = np.abs(A.entries.T @ out.dual) >= default_peak_threshold(k)
+        nu = A.entries.T @ out.dual
+        sel = np.abs(nu) >= default_peak_threshold(k)
         per_round.append((grid.size, int(sel.sum())))
-        if prev_obj is not None and abs(obj - prev_obj) < stop_tol:
+        cert = DualCertificate(op, out.dual)
+        gap, violators = continuum_gap(cert, cfg.lo, cfg.hi, grid.points[sel], nu[sel])
+        if gap <= _GAP_TOL:
             break
-        prev_obj = obj
-        if not sel.any():
+        if not sel.any() and violators.shape[0] == 0:
             break
         if k < cfg.max_rounds:
-            grid = refine_grid(grid, sel)
+            grid = exchange_step(grid, sel, violators)
     support = select_peaks_1d(grid.points, out.primal, math.sqrt(float(np.min(op.samples.ts))))
     if support.shape[0] == 0:
         return per_round, SparseMeasure.empty(op.dim)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from heatloc import bench
+from heatloc import bench, refinement
 from heatloc.bench import (
     ConfigError,
     ScenarioConfig,
@@ -169,15 +169,20 @@ class TestRunScenario:
     def test_record_carries_per_round_diagnostics(self):
         art = run_scenario(small_scenario(snr_db=30.0))
         rec, result = art.record, art.result
-        assert rec.schema_version == 3
+        assert rec.schema_version == 4
         assert len(rec.per_round) == rec.rounds == result.rounds
         keys = {"round", "grid_size", "threshold", "n_selected", "dual_objective",
-                "duality_gap", "solver_iterations", "solver_converged"}
+                "duality_gap", "solver_iterations", "solver_converged", "continuum_gap"}
         assert all(set(entry) == keys for entry in rec.per_round)
         assert [e["solver_iterations"] for e in rec.per_round] == [
             dg.solver_iterations for dg in result.per_round
         ]
         assert rec.per_round[-1]["grid_size"] == rec.n_final_grid
+        # the record's stop reason and final gap are the last round's
+        assert rec.stopped_by == result.stopped_by == "certificate_gap"
+        assert rec.continuum_gap == result.continuum_gap == rec.per_round[-1]["continuum_gap"]
+        assert rec.continuum_gap <= refinement._GAP_TOL
+        assert all(e["continuum_gap"] > refinement._GAP_TOL for e in rec.per_round[:-1])
         # the certificate table is the last round's A^T p on the final grid
         np.testing.assert_allclose(
             art.certificate_table[:, -1], result.certificate(result.final_grid), rtol=0, atol=1e-12
@@ -188,6 +193,7 @@ class TestRunScenario:
                              n_sensors=16)
         rec = run_scenario(cfg).record
         assert rec.rounds == 0 and rec.per_round == []
+        assert rec.stopped_by is None and math.isnan(rec.continuum_gap)
 
     def test_tabular_outputs(self, tmp_path):
         cfg = small_scenario()
@@ -265,7 +271,6 @@ class TestRunScenario:
             snr_db=40.0,
             noise_seed=12345,
             refinement={
-                "stop_tol": 1e-5,
                 "lasso_lambda": 1e-3,
                 "max_rounds": 10,
                 "solver": {"max_iters": 150000, "tol_primal": 1e-7, "tol_dual": 1e-7},

@@ -6,6 +6,8 @@ import pytest
 
 from heatloc.cli import main
 
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+
 
 def write_scenario(tmp_path, **overrides):
     doc = {
@@ -70,7 +72,15 @@ class TestCli:
         assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
         rec = json.loads((out / "noiseless_1d_off_grid" / "record.json").read_text())
         assert rec["refinement_stopped"] and rec["inner_solves_converged"]
-        assert rec["schema_version"] == 3
+        assert rec["schema_version"] == 4
+
+    @pytest.mark.parametrize(
+        "name", sorted(p.name for p in CONFIGS.glob("*.json") if p.name != "certify_1d.json")
+    )
+    def test_bench_exits_zero_on_shipped_config(self, tmp_path, name):
+        # every shipped scenario config stops by the rule with converged inner
+        # solves: the gate that keeps configs/sweep_2d_snr.json green
+        assert main(["bench", "--config", str(CONFIGS / name), "--out", str(tmp_path)]) == 0
 
     def test_bench_sweep(self, tmp_path):
         doc = json.loads(open(write_scenario(tmp_path)).read())
@@ -110,13 +120,14 @@ class TestCli:
             ({"n_sensors": 12.5}, None),
             ({"grid_size": 64.5}, None),
             ({"s": True, "source_positions": [[1.2]]}, None),
+            ({"refinement": {"stop_tol": 1e-6}}, None),
         ],
         ids=[
             "malformed_json", "json_list", "string_count", "scalar_domain",
             "solver_max_iters_0", "sl0_negative_step", "sl0_unknown_key",
             "initial_points_0", "max_rounds_0", "sweep_entry_not_object",
             "non_numeric_measurement", "fractional_sensor_count",
-            "fractional_grid_size", "bool_source_count",
+            "fractional_grid_size", "bool_source_count", "removed_stop_tol",
         ],
     )
     def test_bad_inputs_are_config_errors(self, tmp_path, capsys, config, measurements):

@@ -12,17 +12,23 @@ from heatloc.bench import (
     load_configs,
     synthesize,
 )
-from heatloc.field import SparseMeasure
+from heatloc.field import SparseMeasure, kernel_peak, tensor_points
 from heatloc.operators import (
+    DualCertificate,
     MeasurementOperator,
     SampleSet,
     build_dictionary,
+    certificate_eval,
     measure,
 )
 from heatloc.refinement import (
+    _GAP_TOL,
+    _MESH_PER_WIDTH,
     CandidateGrid,
     RefinementConfig,
+    continuum_gap,
     default_peak_threshold,
+    exchange_step,
     recover_amplitudes,
     refine_grid,
     run_refinement,
@@ -193,6 +199,63 @@ class TestRefineGrid:
                 slow = refine_grid_loop(slow, slow.points[mask])
                 assert fast.points.tobytes() == slow.points.tobytes()
                 assert fast.spacing.tobytes() == slow.spacing.tobytes()
+
+
+class TestExchangeStep:
+    def test_appends_only_points_the_refined_grid_does_not_reach(self):
+        grid = CandidateGrid.uniform([0.0], [1.0], 4)  # 0, 0.25, 0.5, 0.75 at spacing 0.25
+        selected = _mask(grid, [1])
+        refined = refine_grid(grid, selected)  # adds 0.125 and 0.375, 0.25 now at 0.125
+        # 0.26 lies within half a spacing of 0.25; 0.9 is 0.15 from 0.75,
+        # more than half of that point's 0.25
+        out = exchange_step(grid, selected, [[0.26], [0.9]])
+        np.testing.assert_array_equal(out.points[: refined.size], refined.points)
+        np.testing.assert_array_equal(out.spacing[: refined.size], refined.spacing)
+        np.testing.assert_array_equal(out.points[refined.size:], [[0.9]])
+        np.testing.assert_array_equal(out.spacing[refined.size:], [0.125])
+
+    def test_no_points_is_refine_grid(self):
+        grid = CandidateGrid.uniform([0.0, 0.0], [1.0, 1.0], 4)
+        selected = _mask(grid, [5])
+        out = exchange_step(grid, selected, np.empty((0, 2)))
+        ref = refine_grid(grid, selected)
+        np.testing.assert_array_equal(out.points, ref.points)
+        np.testing.assert_array_equal(out.spacing, ref.spacing)
+
+
+def bump_certificate(op, peaks: dict) -> DualCertificate:
+    """Weights on single sensors, sensor index -> certificate value at that sensor's peak."""
+    w = np.zeros(op.d)
+    for i, value in peaks.items():
+        w[i] = value / kernel_peak(op.samples.ts[i], op.dim)
+    return DualCertificate(op, w)
+
+
+class TestContinuumGap:
+    """Two sensors' bumps, far enough apart that each peak is its sensor's to 1e-6."""
+
+    def test_off_mesh_peak_of_scattered_samples(self):
+        # no tensor layout: the mesh is evaluated point by point; neither
+        # peak is a mesh node, so the Newton steps find the value 1.01
+        op = MeasurementOperator(SampleSet(np.array([[1.234], [4.321]]), [0.3, 0.3]))
+        cert = bump_certificate(op, {0: 1.01, 1: -0.5})
+        gap, points = continuum_gap(cert, [0.0], [2 * math.pi], np.empty((0, 1)), np.empty(0))
+        assert gap == pytest.approx(0.01, abs=1e-6)
+        np.testing.assert_allclose(points, [[1.234]], rtol=0, atol=1e-6)
+
+    def test_2d_peak_on_tensor_samples(self):
+        op = MeasurementOperator(SampleSet.grid([np.arange(6) * 1.1] * 2, 0.3))
+        # sensor 15 sits at (2.2, 3.3), sensor 25 at (4.4, 1.1); |nu| counts
+        # either sign, so the 0.999 trough is the runner-up
+        cert = bump_certificate(op, {15: 1.002, 25: -0.999})
+        gap, points = continuum_gap(cert, [0.0, 0.0], [6.0, 6.0], np.empty((0, 2)), np.empty(0))
+        assert gap == pytest.approx(0.002, abs=1e-6)
+        np.testing.assert_allclose(points, [[2.2, 3.3]], rtol=0, atol=1e-6)
+        # below 1 + _GAP_TOL everywhere: a negative gap and no points
+        cert = bump_certificate(op, {15: 0.98, 25: -0.97})
+        gap, points = continuum_gap(cert, [0.0, 0.0], [6.0, 6.0], np.empty((0, 2)), np.empty(0))
+        assert gap == pytest.approx(-0.02, abs=1e-6)
+        assert points.shape == (0, 2)
 
 
 class TestRecoverAmplitudes:
@@ -456,3 +519,94 @@ class TestWarmStartedRounds:
         assert cold.converged and warm.converged
         assert warm.iterations < cold.iterations
         assert abs(warm.objective - cold.objective) <= 1e-12 * cold.objective
+
+
+SHIPPED = [
+    ("noiseless_1d_on_grid.json", "noiseless_1d_on_grid"),
+    ("noiseless_1d_off_grid.json", "noiseless_1d_off_grid"),
+    ("noisy_1d_40db.json", "noisy_1d_40db"),
+    ("sweep_2d_snr.json", "snr00db"),
+    ("sweep_2d_snr.json", "snr20db"),
+    ("sweep_2d_snr.json", "snr30db"),
+]
+
+
+def _abs_certificate(cert: DualCertificate, pts: np.ndarray) -> np.ndarray:
+    return np.concatenate([
+        np.abs(certificate_eval(cert.op, cert.weights, pts[i:i + 20000]))
+        for i in range(0, pts.shape[0], 20000)
+    ])
+
+
+def certified_max(cert: DualCertificate, lo, hi, h1: float, refine: int = 32):
+    """``(m, a)``: max |nu| over [lo, hi] lies in [m, m + a].
+
+    Curvature bound: along a unit direction u, each term of nu has
+    d2/ds2 G = G * (r - 1) / t with r = (u . (x - x_i))**2 / t >= 0, and
+    G <= G(0, t) * exp(-r / 2), so its modulus is at most G(0, t) / t
+    (exp(-r / 2) * |r - 1| <= 1 for r >= 0).  Hence |d2 nu / ds2| <= C =
+    sum_i |w_i| G(0, t_i) / t_i.  At the maximizer x* of |nu| the gradient
+    along the box vanishes, so a mesh node y with |y - x*|_inf <= h / 2 has
+    |nu(y)| >= max |nu| - C * dim * h**2 / 8.
+
+    Level 1 is a tensor mesh of spacing at most h1.  x* lies in the box of
+    half-width h1 / 2 around its nearest level-1 node, whose value is within
+    a1 = C * dim * h1**2 / 8 of max |nu| and so of the level-1 maximum.
+    Every such box is searched at spacing h1 / refine, giving
+    a = C * dim * (h1 / refine)**2 / 8.
+    """
+    op = cert.op
+    lo, hi = np.asarray(lo, float), np.asarray(hi, float)
+    C = float(np.abs(cert.weights) @ (kernel_peak(op.samples.ts, op.dim) / op.samples.ts))
+    axes = [np.linspace(l, h, int(math.ceil((h - l) / h1)) + 1) for l, h in zip(lo, hi)]
+    h1 = max(float(a[1] - a[0]) for a in axes)
+    nodes = tensor_points(axes)
+    vals = _abs_certificate(cert, nodes)
+    boxes = nodes[vals >= vals.max() - C * op.dim * h1**2 / 8]
+    offsets = tensor_points([np.linspace(-0.5 * h1, 0.5 * h1, refine + 1)] * op.dim)
+    fine = np.clip((boxes[:, None, :] + offsets[None, :, :]).reshape(-1, op.dim), lo, hi)
+    return float(_abs_certificate(cert, fine).max()), C * op.dim * (h1 / refine) ** 2 / 8
+
+
+class TestContinuumGapAtStop:
+    """An independent check of the rule's gap on the shipped scenario configs."""
+
+    @pytest.mark.parametrize("file,name", SHIPPED)
+    def test_gap_within_tolerance_on_a_finer_mesh(self, file, name):
+        cfg = shipped_scenario(file, name)
+        op, b, rcfg = scenario_inputs(cfg)
+        res = run_refinement(op, b, rcfg, noisy=cfg.snr_db is not None)
+        assert res.stopped_by == "certificate_gap"
+        assert res.continuum_gap <= _GAP_TOL
+        # level 1 is 4x finer than the rule's mesh of sqrt(t) / _MESH_PER_WIDTH
+        width = math.sqrt(float(np.min(op.samples.ts)))
+        top, allowance = certified_max(res.certificate, rcfg.lo, rcfg.hi, width / (4 * _MESH_PER_WIDTH))
+        assert allowance < 0.5 * _GAP_TOL
+        # so max |nu| - 1 <= _GAP_TOL + allowance
+        assert top - 1.0 <= _GAP_TOL
+        # and the rule's gap is the true one, to within the allowance
+        assert abs(res.continuum_gap - (top - 1.0)) <= allowance
+
+
+class TestExchangeUnsticks:
+    # the 2D draw k = 12 at 30 dB of perfbench's noisy_2d workload: a peak of
+    # |nu| above 1 + _GAP_TOL near (5.14, 4.22) lies away from every grid
+    # point that clears the selection threshold
+    CFG = dict(
+        name="k12_30db", dim=2, domain_lo=[0.0, 0.0], domain_hi=[2 * math.pi, 2 * math.pi], s=3,
+        source_mode="explicit",
+        source_positions=[[0.351409, 5.214099], [4.703621, 4.445934], [1.444956, 0.214676]],
+        n_sensors=12, snr_db=30.0, noise_seed=12,
+        refinement={"lasso_lambda": "universal", "max_rounds": 10,
+                    "solver": {"max_iters": 50000, "tol_primal": 1e-7, "tol_dual": 1e-7}},
+    )
+
+    def test_exchange_step_lets_the_rule_fire(self, monkeypatch):
+        op, b, rcfg = scenario_inputs(load_config(self.CFG))
+        res = run_refinement(op, b, rcfg, noisy=True)
+        assert res.stopped_by == "certificate_gap" and res.rounds < rcfg.max_rounds
+        # threshold selection alone runs into the round cap
+        monkeypatch.setattr(refinement, "exchange_step", lambda grid, sel, points: refine_grid(grid, sel))
+        res = run_refinement(op, b, rcfg, noisy=True)
+        assert res.stopped_by == "max_rounds"
+        assert res.continuum_gap > _GAP_TOL
