@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .field import _is_count, _is_real
 from .operators import RhoBounds
 
 __all__ = ["Sl0Config", "Sl0Stage", "sl0_solve", "sl0_solve_with_history", "validate_rho"]
@@ -26,6 +27,10 @@ class Sl0Config:
     step_mu: float = 2.0
 
     def __post_init__(self) -> None:
+        if not (_is_count(self.inner_iters) and _is_real(self.sigma_decrease) and _is_real(self.step_mu)):
+            raise ValueError("inner_iters must be an integer, sigma_decrease and step_mu numbers")
+        if self.sigma_min is not None and not (_is_real(self.sigma_min) and self.sigma_min > 0):
+            raise ValueError(f"sigma_min must be a positive number or None, got {self.sigma_min!r}")
         if not 0.0 < self.sigma_decrease < 1.0:
             raise ValueError("sigma_decrease must lie in (0, 1)")
         if self.inner_iters < 1:

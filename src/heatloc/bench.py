@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .baseline import Sl0Config, sl0_solve, validate_rho
-from .field import SparseMeasure, _is_count, add_noise, evaluate_field, tensor_points
+from .field import SparseMeasure, _is_count, _is_real, add_noise, evaluate_field, tensor_points
 from .operators import (
     MeasurementOperator,
     SampleSet,
@@ -45,6 +45,9 @@ __all__ = [
     "build_truth",
     "build_operator",
     "synthesize",
+    "refinement_config",
+    "run_method",
+    "exit_code",
     "run_scenario",
     "run_sweep",
     "match_sources",
@@ -89,6 +92,9 @@ def _validate(cfg: ScenarioConfig) -> None:
     not_counts = [k for k in counts if not _is_count(getattr(cfg, k))]
     if not_counts:
         raise ConfigError(f"{', '.join(not_counts)}: must be integers")
+    not_reals = [k for k in ("rho", "snr_db") if getattr(cfg, k) is not None and not _is_real(getattr(cfg, k))]
+    if not_reals:
+        raise ConfigError(f"{', '.join(not_reals)}: must be numbers")
     errs = []
     if cfg.schema_version != SCHEMA_VERSION:
         errs.append(f"schema_version: expected {SCHEMA_VERSION}, got {cfg.schema_version}")
@@ -175,22 +181,19 @@ def dump_config(cfg: ScenarioConfig) -> str:
     return json.dumps(dataclasses.asdict(cfg), sort_keys=True, indent=2) + "\n"
 
 
-def lasso_lambda_universal(snr_db: float, op: MeasurementOperator, grid_points):
-    """Scale-free penalty rule: noise std times the universal threshold.
+def lasso_lambda_universal(snr_db: float, op: MeasurementOperator, grid_points, b) -> float:
+    """Scale-free penalty for the data ``b``: noise std times the universal threshold.
 
-    lambda = sigma_d * max_j |a_j|_2 * sqrt(2 log P), with column norms taken
-    over the initial candidate grid.
+    lambda = sigma_d * max_j |a_j|_2 * sqrt(2 log P), with sigma_d the noise
+    std that ``snr_db`` implies for ``b`` and the column norms taken over
+    ``grid_points``, the initial candidate grid.
     """
     A0 = build_dictionary(op, grid_points)
     colmax = float(np.max(np.linalg.norm(A0.entries, axis=0)))
     P = A0.shape[1]
-
-    def rule(b: np.ndarray) -> float:
-        b = np.asarray(b, dtype=float)
-        sigma = math.sqrt(float(b @ b) * 10.0 ** (-snr_db / 10.0) / b.size)
-        return sigma * colmax * math.sqrt(2.0 * math.log(max(P, 2)))
-
-    return rule
+    b = np.asarray(b, dtype=float)
+    sigma = math.sqrt(float(b @ b) * 10.0 ** (-snr_db / 10.0) / b.size)
+    return sigma * colmax * math.sqrt(2.0 * math.log(max(P, 2)))
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -241,7 +244,8 @@ def build_operator(cfg: ScenarioConfig) -> MeasurementOperator:
     if cfg.dim == 1:
         samples = SampleSet.uniform_1d(cfg.n_sensors, hi[0] - lo[0], times)
         if lo[0] != 0.0:
-            samples = SampleSet(samples.xs + lo[0], samples.ts)
+            axes = None if samples.grid_axes is None else (samples.grid_axes[0] + lo[0],)
+            samples = SampleSet(samples.xs + lo[0], samples.ts, axes)
     else:
         if cfg.n_times != 1:
             raise ConfigError("n_times: 2D scenarios use a single time sample")
@@ -356,7 +360,6 @@ class RunArtifacts:
     operator: MeasurementOperator
     b: np.ndarray
     result: RecoveryResult | None  # refinement runs only
-    certificate_table: np.ndarray | None  # rows (position..., certificate value); refinement only
     exit_code: int
 
 
@@ -372,16 +375,22 @@ def _field_rmse(truth: SparseMeasure, estimate: SparseMeasure, cfg: ScenarioConf
 def _method_config(cfg: ScenarioConfig) -> RefinementConfig | Sl0Config:
     """The config of the scenario's method, built from its section.
 
-    A bad key or value is a config error.  A noisy run's universal penalty
-    needs the operator, so ``lasso_lambda`` stays as the section gives it.
+    A bad key or value is a config error.  ``lasso_lambda`` is the section's
+    number, or None where it gives ``"universal"`` or nothing: the penalty
+    is resolved by :func:`refinement_config`, as it needs the data.
     """
     if cfg.method == "baseline":
         try:
             return Sl0Config(**cfg.sl0)
         except (TypeError, ValueError) as exc:  # an unknown key or a value out of range
             raise ConfigError(f"sl0: {exc}") from exc
+    overrides = dict(cfg.refinement)
+    lam = overrides.get("lasso_lambda")
+    if isinstance(lam, str):
+        if lam != "universal":
+            raise ConfigError(f"refinement.lasso_lambda: unknown rule {lam!r}")
+        overrides["lasso_lambda"] = None
     try:
-        overrides = dict(cfg.refinement)
         solver_overrides = overrides.pop("solver", None)
         solver = SolverConfig(**solver_overrides) if solver_overrides else None
         rcfg = RefinementConfig(
@@ -392,22 +401,25 @@ def _method_config(cfg: ScenarioConfig) -> RefinementConfig | Sl0Config:
         )
     except (TypeError, ValueError) as exc:  # an unknown key or a value out of range
         raise ConfigError(f"refinement: {exc}") from exc
-    if isinstance(rcfg.lasso_lambda, str) and rcfg.lasso_lambda != "universal":
-        raise ConfigError(f"refinement.lasso_lambda: unknown rule {rcfg.lasso_lambda!r}")
     return rcfg
 
 
-def _run_refinement_method(cfg, truth, op, b) -> tuple[SparseMeasure, RecoveryResult]:
-    noisy = cfg.snr_db is not None and not math.isinf(cfg.snr_db)
+def refinement_config(cfg: ScenarioConfig, op: MeasurementOperator, b) -> RefinementConfig:
+    """The scenario's refinement config, its penalty resolved for the data ``b``.
+
+    ``lasso_lambda`` is None (the equality solve) for a noiseless scenario,
+    otherwise the section's number, otherwise the universal rule at ``b``.
+    """
     rcfg = _method_config(cfg)
-    if noisy and (rcfg.lasso_lambda is None or rcfg.lasso_lambda == "universal"):
+    if cfg.snr_db is None or math.isinf(cfg.snr_db):
+        rcfg.lasso_lambda = None
+    elif rcfg.lasso_lambda is None:
         grid0 = CandidateGrid.uniform(rcfg.lo, rcfg.hi, rcfg.initial_points_per_dim)
-        rcfg.lasso_lambda = lasso_lambda_universal(cfg.snr_db, op, grid0.points)
-    result = run_refinement(op, b, rcfg, noisy)
-    return result.estimate, result
+        rcfg.lasso_lambda = lasso_lambda_universal(cfg.snr_db, op, grid0.points, b)
+    return rcfg
 
 
-def _run_baseline_method(cfg, truth, op, b) -> SparseMeasure:
+def _run_baseline(cfg: ScenarioConfig, b) -> SparseMeasure:
     """SL0 estimate on the fixed grid, cut to its ``cfg.s`` largest entries.
 
     The top-``s`` pick reads the true source count from the scenario: unlike
@@ -423,36 +435,37 @@ def _run_baseline_method(cfg, truth, op, b) -> SparseMeasure:
     return SparseMeasure(A.points[np.sort(top)] + cfg.domain_lo[0], x[np.sort(top)])
 
 
+def run_method(cfg: ScenarioConfig, op: MeasurementOperator, b) -> tuple[SparseMeasure, RecoveryResult | None]:
+    """The scenario method's estimate and refinement result (None for the baseline).
+
+    It reads the config, the operator and the data ``b``, never the ground
+    truth (the baseline's top-``s`` pick reads the true count from the config).
+    """
+    if cfg.method == "baseline":
+        return _run_baseline(cfg, b), None
+    result = run_refinement(op, b, refinement_config(cfg, op, b))
+    return result.estimate, result
+
+
+def exit_code(result: RecoveryResult | None) -> int:
+    """2 when the refinement stop rule did not fire or an inner solve did not converge, else 0."""
+    return 0 if result is None or (result.converged and result.solver_all_converged) else 2
+
+
 def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
     """Synthesize, solve, and score one scenario; fully deterministic per config."""
     _validate(cfg)
     start = time.perf_counter()
     truth, op, b = synthesize(cfg)
     tau, rho = _sample_time(cfg)
-
-    result: RecoveryResult | None = None
-    if cfg.method == "refinement":
-        estimate, result = _run_refinement_method(cfg, truth, op, b)
-    else:
-        estimate = _run_baseline_method(cfg, truth, op, b)
+    estimate, result = run_method(cfg, op, b)
 
     match = match_sources(truth, estimate)
     amp_scale = float(np.mean(np.abs(truth.amplitudes)))
     overshoot = (
         float(np.max(np.abs(estimate.amplitudes))) / amp_scale if estimate.n_atoms else 0.0
     )
-    if result is not None:
-        kkt = result.last_outcome.kkt
-        cert_table = np.column_stack([result.final_grid, result.nu])
-        stopped, inner_ok = result.converged, result.solver_all_converged
-        cert_held = kkt.certificate_bound <= 1e-6
-        rounds = result.rounds
-    else:
-        kkt = None
-        cert_table = None
-        stopped, inner_ok = True, True
-        cert_held = True
-        rounds = 0
+    kkt = result.last_outcome.kkt if result else None
 
     record = MetricsRecord(
         schema_version=SCHEMA_VERSION,
@@ -472,19 +485,19 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
         mean_position_error=float(np.mean(match.position_errors)) if match.position_errors else math.inf,
         max_position_error=float(np.max(match.position_errors)) if match.position_errors else math.inf,
         field_rmse=_field_rmse(truth, estimate, cfg, tau),
-        rounds=rounds,
+        rounds=result.rounds if result else 0,
         per_round=[dataclasses.asdict(dg) for dg in result.per_round] if result else [],
-        refinement_stopped=stopped,
+        refinement_stopped=result.converged if result else True,
         stopped_by=result.stopped_by if result else None,
         continuum_gap=result.continuum_gap if result else math.nan,
-        inner_solves_converged=inner_ok,
+        inner_solves_converged=result.solver_all_converged if result else True,
         kkt_feasibility=kkt.feasibility if kkt else math.nan,
         kkt_certificate_bound=kkt.certificate_bound if kkt else math.nan,
         kkt_support_alignment=kkt.support_alignment if kkt else math.nan,
         kkt_duality_gap=kkt.duality_gap if kkt else math.nan,
-        certificate_bound_held=cert_held,
+        certificate_bound_held=kkt.certificate_bound <= 1e-6 if kkt else True,
         amplitude_overshoot=overshoot,
-        n_final_grid=result.final_grid.shape[0] if result is not None else cfg.grid_size,
+        n_final_grid=result.final_grid.shape[0] if result else cfg.grid_size,
     )
     runtime = time.perf_counter() - start
     return RunArtifacts(
@@ -495,8 +508,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
         operator=op,
         b=b,
         result=result,
-        certificate_table=cert_table,
-        exit_code=0 if stopped and inner_ok else 2,
+        exit_code=exit_code(result),
     )
 
 
@@ -521,7 +533,7 @@ def _csv_text(header: list[str], table) -> str:
     return ",".join(header) + "\n" + (row_fmt * a.shape[0]) % tuple(a.ravel().tolist())
 
 
-def emit_results(artifacts: RunArtifacts, out_dir: str, cfg: ScenarioConfig | None = None) -> dict:
+def emit_results(artifacts: RunArtifacts, out_dir: str, cfg: ScenarioConfig) -> dict:
     """Write the canonical record plus flat tabular files; returns the paths.
 
     The record file is byte-stable for identical configs; timing lives in a
@@ -537,18 +549,17 @@ def emit_results(artifacts: RunArtifacts, out_dir: str, cfg: ScenarioConfig | No
         paths["meta"] = os.path.join(out_dir, "run_meta.json")
         _atomic_write(paths["meta"], json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
-        if cfg is not None:
-            paths["config"] = os.path.join(out_dir, "config.json")
-            _atomic_write(paths["config"], dump_config(cfg))
+        paths["config"] = os.path.join(out_dir, "config.json")
+        _atomic_write(paths["config"], dump_config(cfg))
 
         dim = artifacts.truth.dim
         coord_names = ["x", "y"][:dim]
-        if artifacts.certificate_table is not None:
+        result = artifacts.result
+        if result is not None:
+            # the last round's certificate values on the final grid
             paths["certificate"] = os.path.join(out_dir, "certificate.csv")
-            _atomic_write(
-                paths["certificate"],
-                _csv_text(coord_names + ["certificate"], artifacts.certificate_table),
-            )
+            table = np.column_stack([result.final_grid, result.nu])
+            _atomic_write(paths["certificate"], _csv_text(coord_names + ["certificate"], table))
 
         truth, est = artifacts.truth, artifacts.estimate
         i, j = np.asarray(artifacts.record.matched_pairs, dtype=np.intp).reshape(-1, 2).T
@@ -569,8 +580,8 @@ def emit_results(artifacts: RunArtifacts, out_dir: str, cfg: ScenarioConfig | No
         _atomic_write(paths["atoms"], _csv_text(header, atoms))
 
         t = float(artifacts.operator.samples.ts[0])
-        lo = np.asarray(cfg.domain_lo if cfg else np.min(artifacts.operator.samples.xs, axis=0), float)
-        hi = np.asarray(cfg.domain_hi if cfg else np.max(artifacts.operator.samples.xs, axis=0), float)
+        lo = np.asarray(cfg.domain_lo, dtype=float)
+        hi = np.asarray(cfg.domain_hi, dtype=float)
         n = 256 if dim == 1 else 64
         pts = tensor_points([np.linspace(lo[k], hi[k], n) for k in range(dim)])
         field = np.column_stack([pts, evaluate_field(truth, pts, t), evaluate_field(est, pts, t)])

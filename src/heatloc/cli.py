@@ -72,17 +72,12 @@ def _cmd_simulate(args) -> int:
 def _cmd_solve(args) -> int:
     cfg = _load_one(args)
     b = _read_measurements(args.measurements)
-    truth, op, _ = bench.synthesize(cfg)
+    op = bench.build_operator(cfg)  # the sensors only: solve never builds the truth
     if b.shape[0] != op.d:
         raise ConfigError(
             f"measurements: {b.shape[0]} values do not match the {op.d} sample points"
         )
-    if cfg.method == "refinement":
-        estimate, result = bench._run_refinement_method(cfg, truth, op, b)
-        code = 0 if result.converged and result.solver_all_converged else 2
-    else:
-        estimate = bench._run_baseline_method(cfg, truth, op, b)
-        code = 0
+    estimate, result = bench.run_method(cfg, op, b)
     doc = {
         "positions": estimate.positions.tolist(),
         "amplitudes": estimate.amplitudes.tolist(),
@@ -92,7 +87,7 @@ def _cmd_solve(args) -> int:
         os.path.join(args.out, "estimate.json"), json.dumps(doc, sort_keys=True, indent=2) + "\n"
     )
     print(f"recovered {estimate.n_atoms} atoms -> {args.out}/estimate.json")
-    return code
+    return bench.exit_code(result)
 
 
 _CERTIFY_KEYS = {

@@ -9,8 +9,8 @@ certificate has near-unit modulus, inserts new candidates at half the local
 spacing around them, and adds the points where the certificate exceeds
 ``1 + _GAP_TOL`` off the grid (the exchange step of Flinth, de Gournay &
 Weiss 2021).  The grid only grows, with old points first, so each round
-appends the new points' columns to the last round's dictionary, and a noisy
-round's LASSO path starts from the last round's solution.  After the loop
+appends the new points' columns to the last round's dictionary, and a LASSO
+round's path starts from the last round's solution.  After the loop
 the final round's primal coefficients are condensed into source positions,
 in 1D and 2D alike: atoms closer than one kernel width are chained and each
 chain becomes its mass-weighted centroid.  Amplitudes are then recovered by
@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from . import operators
-from .field import SparseMeasure, tensor_points
+from .field import SparseMeasure, _is_count, _is_real, tensor_points
 from .operators import DictionaryMatrix, DualCertificate, MeasurementOperator, build_dictionary
 from .solvers import SolveOutcome, SolverConfig, solve_l1_equality, solve_lasso
 
@@ -296,14 +295,19 @@ class RefinementConfig:
     hi: np.ndarray
     initial_points_per_dim: int = 16
     max_rounds: int = 12
-    lasso_lambda: float | Callable[[np.ndarray], float] | None = None
+    lasso_lambda: float | None = None  # None: the equality solve; a penalty: the LASSO
     solver: SolverConfig | None = None
 
     def __post_init__(self) -> None:
         self.lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
         self.hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
+        if not (_is_count(self.initial_points_per_dim) and _is_count(self.max_rounds)):
+            raise ValueError("initial_points_per_dim and max_rounds must be integers")
         if self.initial_points_per_dim < 1 or self.max_rounds < 1:
             raise ValueError("initial_points_per_dim and max_rounds must be >= 1")
+        lam = self.lasso_lambda
+        if lam is not None and not (_is_real(lam) and lam > 0):
+            raise ValueError(f"lasso_lambda must be a positive number or None, got {lam!r}")
 
 
 @dataclass(frozen=True)
@@ -348,29 +352,24 @@ class RecoveryResult:
         return all(dg.solver_converged for dg in self.per_round)
 
 
-def run_refinement(op: MeasurementOperator, b, cfg: RefinementConfig, noisy: bool) -> RecoveryResult:
+def run_refinement(op: MeasurementOperator, b, cfg: RefinementConfig) -> RecoveryResult:
     """Full certificate-driven refinement loop followed by amplitude recovery.
 
-    Noiseless data is fit with the equality-constrained l1 problem, noisy data
-    with the LASSO; the loop stops when the certificate's continuum gap
+    Without a penalty (``cfg.lasso_lambda`` None) the data is fit with the
+    equality-constrained l1 problem, with one by the LASSO at that penalty;
+    the loop stops when the certificate's continuum gap
     ``max |nu| - 1`` is at most ``_GAP_TOL`` (the same rule for both), when
     the round budget is exhausted, or when no grid point clears the selection
     threshold and no off-grid point exceeds ``1 + _GAP_TOL``.
-    Each noisy round warm-starts the LASSO path from the previous round's
-    primal; the equality solve always starts from zero (see
-    :mod:`heatloc.solvers`).
+    Each LASSO round warm-starts the path from the previous round's primal;
+    the equality solve always starts from zero (see :mod:`heatloc.solvers`).
     """
     b = np.asarray(b, dtype=float)
     if b.shape != (op.d,):
         raise ValueError(f"data has shape {b.shape}, expected ({op.d},)")
-    scfg = cfg.solver or SolverConfig(
-        tol_primal=1e-7 if noisy else 1e-9, tol_dual=1e-7 if noisy else 1e-9
-    )
-    lam = None
-    if noisy:
-        lam = cfg.lasso_lambda(b) if callable(cfg.lasso_lambda) else cfg.lasso_lambda
-        if lam is None:
-            raise ValueError("noisy refinement needs lasso_lambda (value or rule)")
+    lam = cfg.lasso_lambda
+    tol = 1e-9 if lam is None else 1e-7
+    scfg = cfg.solver or SolverConfig(tol_primal=tol, tol_dual=tol)
 
     grid = CandidateGrid.uniform(cfg.lo, cfg.hi, cfg.initial_points_per_dim)
     A = build_dictionary(op, grid)
@@ -384,7 +383,7 @@ def run_refinement(op: MeasurementOperator, b, cfg: RefinementConfig, noisy: boo
         if grid.size > A.shape[1]:
             new = build_dictionary(op, grid.points[A.shape[1]:])
             A = DictionaryMatrix(np.hstack([A.entries, new.entries]), grid.points)
-        if noisy:
+        if lam is not None:
             # resume from the last round's solution, the new points at zero
             start = None
             if outcome is not None:

@@ -43,6 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .field import _is_count, _is_real
+
 __all__ = [
     "SolverConfig",
     "KktResiduals",
@@ -63,6 +65,8 @@ class SolverConfig:
     tol_dual: float = 1e-9
 
     def __post_init__(self) -> None:
+        if not (_is_count(self.max_iters) and _is_real(self.tol_primal) and _is_real(self.tol_dual)):
+            raise ValueError("max_iters must be an integer and the tolerances numbers")
         if self.tol_primal <= 0 or self.tol_dual <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_iters < 1:

@@ -151,7 +151,7 @@ def refine_grid_loop(grid: CandidateGrid, selected) -> CandidateGrid:
     return CandidateGrid(np.asarray(new_points), np.asarray(new_spacing), grid.lo, grid.hi)
 
 
-def refinement_cold_loop(op, b, cfg, noisy: bool):
+def refinement_cold_loop(op, b, cfg):
     """The refinement loop with a full dictionary rebuild and a cold solve per round.
 
     Returns ``(per_round, estimate)``: one ``(grid_size, n_selected)`` pair
@@ -160,14 +160,14 @@ def refinement_cold_loop(op, b, cfg, noisy: bool):
     amplitude recovery as ``run_refinement``.
     """
     b = np.asarray(b, dtype=float)
-    tol = 1e-7 if noisy else 1e-9
+    lam = cfg.lasso_lambda
+    tol = 1e-9 if lam is None else 1e-7
     scfg = cfg.solver or SolverConfig(tol_primal=tol, tol_dual=tol)
-    lam = cfg.lasso_lambda(b) if callable(cfg.lasso_lambda) else cfg.lasso_lambda
     grid = CandidateGrid.uniform(cfg.lo, cfg.hi, cfg.initial_points_per_dim)
     per_round = []
     for k in range(1, cfg.max_rounds + 1):
         A = build_dictionary(op, grid)
-        if noisy:
+        if lam is not None:
             out = solve_lasso(A, b, lam, scfg)
         else:
             out = solve_l1_equality(A, b, scfg)

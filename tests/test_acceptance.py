@@ -414,7 +414,7 @@ def test_theory_practice_consistency():
         op = MeasurementOperator(grid_sample_set(cfg))
         b = measure(op, mu)
         res = run_refinement(
-            op, b, RefinementConfig(lo=[-1.0], hi=[1.0], initial_points_per_dim=16), noisy=False
+            op, b, RefinementConfig(lo=[-1.0], hi=[1.0], initial_points_per_dim=16)
         )
         assert res.estimate.n_atoms >= 1
         for i0, rep in enumerate(reports):

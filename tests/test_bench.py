@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -9,6 +10,7 @@ from heatloc import bench, refinement
 from heatloc.bench import (
     ConfigError,
     ScenarioConfig,
+    build_operator,
     build_truth,
     dump_config,
     emit_results,
@@ -183,9 +185,9 @@ class TestRunScenario:
         assert rec.continuum_gap == result.continuum_gap == rec.per_round[-1]["continuum_gap"]
         assert rec.continuum_gap <= refinement._GAP_TOL
         assert all(e["continuum_gap"] > refinement._GAP_TOL for e in rec.per_round[:-1])
-        # the certificate table is the last round's A^T p on the final grid
+        # certificate.csv's values are the last round's A^T p on the final grid
         np.testing.assert_allclose(
-            art.certificate_table[:, -1], result.certificate(result.final_grid), rtol=0, atol=1e-12
+            result.nu, result.certificate(result.final_grid), rtol=0, atol=1e-12
         )
 
     def test_baseline_record_has_no_rounds(self):
@@ -206,8 +208,9 @@ class TestRunScenario:
         assert field_lines[0] == "x,field_true,field_est"
         assert len(field_lines) == 1 + 256
         # 17-significant-digit formatting round-trips exactly
-        x_back = float(cert_lines[1].split(",")[0])
-        assert x_back == art.result.final_grid[0, 0]
+        table = np.array([[float(v) for v in line.split(",")] for line in cert_lines[1:]])
+        np.testing.assert_array_equal(table[:, 0], art.result.final_grid[:, 0])
+        np.testing.assert_array_equal(table[:, 1], art.result.nu)
 
     def test_field_csv_matches_mesh_in_2d(self, tmp_path):
         cfg = small_scenario(
@@ -312,30 +315,50 @@ class TestRunScenario:
             assert (tmp_path / f"s{i}" / "record.json").exists()
 
     def test_noisy_config_without_penalty_uses_universal_rule(self, monkeypatch):
+        # run_method hands run_refinement the resolved penalty: the universal
+        # rule at the data when a noisy section gives none or "universal", the
+        # section's number when it gives one, and none for noiseless data
         cfg = small_scenario(snr_db=30.0)
-        truth, op, b = synthesize(cfg)
-        seen = {}
+        _, op, b = synthesize(cfg)
+        seen = []
 
         class Resolved(Exception):
             pass
 
-        def capture(op_, b_, rcfg, noisy):
-            seen["lam"] = rcfg.lasso_lambda(b_)
+        def capture(op_, b_, rcfg):
+            seen.append(rcfg.lasso_lambda)
             raise Resolved
 
         monkeypatch.setattr(bench, "run_refinement", capture)
-        with pytest.raises(Resolved):
-            bench._run_refinement_method(cfg, truth, op, b)
+        cases = [
+            {}, {"refinement": {"lasso_lambda": "universal"}},
+            {"refinement": {"lasso_lambda": 2e-3}}, {"snr_db": None, "refinement": {"lasso_lambda": 2e-3}},
+        ]
+        for overrides in cases:
+            with pytest.raises(Resolved):
+                bench.run_method(dataclasses.replace(cfg, **overrides), op, b)
         grid0 = CandidateGrid.uniform(
             cfg.domain_lo, cfg.domain_hi, RefinementConfig.initial_points_per_dim
         )
-        assert seen["lam"] == lasso_lambda_universal(cfg.snr_db, op, grid0.points)(b)
+        universal = lasso_lambda_universal(cfg.snr_db, op, grid0.points, b)
+        assert seen == [universal, universal, 2e-3, None]
 
     def test_unknown_penalty_rule_is_config_error(self):
         for snr_db in (30.0, None):
             cfg = small_scenario(snr_db=snr_db, refinement={"lasso_lambda": "noise-variance"})
             with pytest.raises(ConfigError, match="unknown rule"):
                 run_scenario(cfg)
+
+
+class TestBuildOperator:
+    def test_shifted_1d_domain_keeps_grid_axes(self):
+        # the sensors shift with the domain and stay a tensor grid, so the
+        # continuum gap keeps its separable mesh evaluation
+        cfg = small_scenario(domain_lo=[1.0], domain_hi=[1.0 + 2 * math.pi])
+        samples = build_operator(cfg).samples
+        assert samples.grid_axes is not None
+        np.testing.assert_array_equal(samples.grid_axes[0], samples.xs[:, 0])
+        np.testing.assert_array_equal(samples.xs, build_operator(small_scenario()).samples.xs + 1.0)
 
 
 class TestSynthesize:

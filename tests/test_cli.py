@@ -4,6 +4,7 @@ import pathlib
 
 import pytest
 
+from heatloc import bench
 from heatloc.cli import main
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -57,6 +58,29 @@ class TestCli:
         est = json.loads((solve_dir / "estimate.json").read_text())
         found = sorted(p[0] for p in est["positions"])
         assert abs(found[0] - 1.2) < 0.05 and abs(found[1] - 4.0) < 0.05
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"snr_db": 30.0}, {"method": "baseline", "n_sensors": 16}],
+        ids=["noiseless", "noisy", "baseline"],
+    )
+    def test_solve_never_builds_the_truth(self, tmp_path, monkeypatch, overrides):
+        # with the truth builders disabled, solve writes the same estimate
+        # and returns the same exit code
+        cfg = write_scenario(tmp_path, **overrides)
+        sim_dir = tmp_path / "sim"
+        assert main(["simulate", "--config", cfg, "--out", str(sim_dir)]) == 0
+        argv = ["solve", "--config", cfg, "--measurements", str(sim_dir / "measurements.csv")]
+        code = main(argv + ["--out", str(tmp_path / "open")])
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solve built the ground truth")
+
+        monkeypatch.setattr(bench, "build_truth", forbidden)
+        monkeypatch.setattr(bench, "synthesize", forbidden)
+        assert main(argv + ["--out", str(tmp_path / "blind")]) == code
+        estimate = (tmp_path / "blind" / "estimate.json").read_bytes()
+        assert estimate == (tmp_path / "open" / "estimate.json").read_bytes()
 
     def test_bench_single(self, tmp_path):
         cfg = write_scenario(tmp_path)
@@ -121,6 +145,17 @@ class TestCli:
             ({"grid_size": 64.5}, None),
             ({"s": True, "source_positions": [[1.2]]}, None),
             ({"refinement": {"stop_tol": 1e-6}}, None),
+            ({"refinement": {"max_rounds": 2.5}}, None),
+            ({"method": "baseline", "sl0": {"inner_iters": 2.5}}, None),
+            ({"refinement": {"max_rounds": True}}, None),
+            ({"refinement": {"solver": {"max_iters": True}}}, None),
+            ({"refinement": {"initial_points_per_dim": 15.5}}, None),
+            ({"snr_db": 30.0, "refinement": {"lasso_lambda": True}}, None),
+            ({"snr_db": 30.0, "refinement": {"lasso_lambda": -1e-3}}, None),
+            ({"refinement": {"lasso_lambda": 0.0}}, None),
+            ({"rho": True}, None),
+            ({"snr_db": True}, None),
+            ({"method": "baseline", "sl0": {"sigma_min": 0.0}}, None),
         ],
         ids=[
             "malformed_json", "json_list", "string_count", "scalar_domain",
@@ -128,6 +163,10 @@ class TestCli:
             "initial_points_0", "max_rounds_0", "sweep_entry_not_object",
             "non_numeric_measurement", "fractional_sensor_count",
             "fractional_grid_size", "bool_source_count", "removed_stop_tol",
+            "fractional_max_rounds", "fractional_sl0_inner_iters", "bool_max_rounds",
+            "bool_solver_max_iters", "fractional_initial_points", "bool_lasso_lambda",
+            "negative_lasso_lambda", "zero_lasso_lambda", "bool_rho", "bool_snr_db",
+            "sl0_zero_sigma_min",
         ],
     )
     def test_bad_inputs_are_config_errors(self, tmp_path, capsys, config, measurements):

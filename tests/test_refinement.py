@@ -5,13 +5,7 @@ import numpy as np
 import pytest
 
 import heatloc.refinement as refinement
-from heatloc.bench import (
-    _method_config,
-    lasso_lambda_universal,
-    load_config,
-    load_configs,
-    synthesize,
-)
+from heatloc.bench import load_config, load_configs, refinement_config, synthesize
 from heatloc.field import SparseMeasure, kernel_peak, tensor_points
 from heatloc.operators import (
     DualCertificate,
@@ -323,7 +317,7 @@ class TestRunRefinement:
         truth = SparseMeasure.from_1d([x0], [1.0])
         b = measure(op, truth)
         cfg = RefinementConfig(lo=[0.0], hi=[L])
-        res = run_refinement(op, b, cfg, noisy=False)
+        res = run_refinement(op, b, cfg)
         # a dense-grid l1 oracle confirms the discrete problem localizes here
         grid = np.linspace(0, L, 512, endpoint=False).reshape(-1, 1)
         xlp = min_l1_equality_lp(build_dictionary(op, grid).entries, b)
@@ -337,7 +331,7 @@ class TestRunRefinement:
         L = 2 * math.pi
         truth = SparseMeasure.from_1d([1.3113, 3.0871, 5.0422], [1.0, 1.0, 1.0])
         b = measure(op, truth)
-        res = run_refinement(op, b, RefinementConfig(lo=[0.0], hi=[L]), noisy=False)
+        res = run_refinement(op, b, RefinementConfig(lo=[0.0], hi=[L]))
         assert res.estimate.n_atoms == 3
         est = np.sort(res.estimate.positions.ravel())
         assert np.max(np.abs(est - truth.positions.ravel())) < 1e-3 * L
@@ -348,7 +342,7 @@ class TestRunRefinement:
         op = reference_op_1d()
         truth = SparseMeasure.from_1d([1.3113, 3.0871, 5.0422], [1.0, 1.0, 1.0])
         b = measure(op, truth)
-        res = run_refinement(op, b, RefinementConfig(lo=[0.0], hi=[2 * math.pi]), noisy=False)
+        res = run_refinement(op, b, RefinementConfig(lo=[0.0], hi=[2 * math.pi]))
         for prev, cur in zip(res.per_round, res.per_round[1:]):
             slack = max(1e-9, prev.duality_gap + cur.duality_gap)
             assert cur.dual_objective <= prev.dual_objective + slack
@@ -383,8 +377,8 @@ class TestRunRefinement:
         truth = SparseMeasure.from_1d([1.3113, 3.0871, 5.0422], [1.0, 1.0, 1.0])
         b = measure(op, truth)
         cfg = RefinementConfig(lo=[0.0], hi=[L])
-        res1 = run_refinement(op, b, cfg, noisy=False)
-        res2 = run_refinement(op, 3.7 * b, cfg, noisy=False)
+        res1 = run_refinement(op, b, cfg)
+        res2 = run_refinement(op, 3.7 * b, cfg)
         p1 = np.sort(res1.estimate.positions.ravel())
         p2 = np.sort(res2.estimate.positions.ravel())
         assert p1.shape == p2.shape
@@ -406,33 +400,23 @@ class TestRunRefinement:
         cfg = RefinementConfig(
             lo=[0.0], hi=[2 * math.pi], max_rounds=4, solver=SolverConfig(max_iters=5)
         )
-        res = run_refinement(op, b, cfg, noisy=False)
+        res = run_refinement(op, b, cfg)
         assert not res.solver_all_converged
         assert any(not dg.solver_converged for dg in res.per_round)
         assert res.estimate.n_atoms >= 1  # best-effort result still produced
-
-    def test_noisy_requires_lambda(self):
-        op = reference_op_1d()
-        b = np.ones(op.d)
-        with pytest.raises(ValueError):
-            run_refinement(op, b, RefinementConfig(lo=[0.0], hi=[2 * math.pi]), noisy=True)
 
     def test_data_length_checked(self):
         op = reference_op_1d()
         with pytest.raises(ValueError):
             run_refinement(
-                op, np.ones(op.d + 1), RefinementConfig(lo=[0.0], hi=[2 * math.pi]), noisy=False
+                op, np.ones(op.d + 1), RefinementConfig(lo=[0.0], hi=[2 * math.pi])
             )
 
 
 def scenario_inputs(cfg):
-    """Operator, data and refinement config of a scenario, with its noisy penalty rule resolved."""
+    """Operator, data and refinement config of a scenario, with its penalty resolved as bench does."""
     _, op, b = synthesize(cfg)
-    rcfg = _method_config(cfg)
-    if cfg.snr_db is not None:
-        grid0 = CandidateGrid.uniform(rcfg.lo, rcfg.hi, rcfg.initial_points_per_dim)
-        rcfg.lasso_lambda = lasso_lambda_universal(cfg.snr_db, op, grid0.points)
-    return op, b, rcfg
+    return op, b, refinement_config(cfg, op, b)
 
 
 def shipped_scenario(file: str, name: str):
@@ -461,8 +445,8 @@ class TestWarmStartedRounds:
     @pytest.mark.parametrize("file,name", SHIPPED_NOISY)
     def test_matches_cold_loop(self, file, name):
         op, b, rcfg = scenario_inputs(shipped_scenario(file, name))
-        res = run_refinement(op, b, rcfg, noisy=True)
-        per_round, ref = refinement_cold_loop(op, b, rcfg, noisy=True)
+        res = run_refinement(op, b, rcfg)
+        per_round, ref = refinement_cold_loop(op, b, rcfg)
         assert [(dg.grid_size, dg.n_selected) for dg in res.per_round] == per_round
         assert res.solver_all_converged
         assert res.estimate.positions.shape == ref.positions.shape
@@ -477,7 +461,7 @@ class TestWarmStartedRounds:
     def test_appended_dictionary_equals_full_build(self, monkeypatch, file, name, attr):
         op, b, rcfg = scenario_inputs(shipped_scenario(file, name))
         calls = record_solves(monkeypatch, attr)
-        res = run_refinement(op, b, rcfg, noisy=attr == "solve_lasso")
+        res = run_refinement(op, b, rcfg)
         assert len(calls) == res.rounds > 1
         prev = np.empty((0, op.dim))
         for (args, _), dg in zip(calls, res.per_round):
@@ -510,7 +494,7 @@ class TestWarmStartedRounds:
         )
         op, b, rcfg = scenario_inputs(cfg)
         calls = record_solves(monkeypatch, "solve_lasso")
-        run_refinement(op, b, rcfg, noisy=True)
+        run_refinement(op, b, rcfg)
         (A, _, lam, scfg), kwargs = calls[2]
         start = kwargs["start"]
         assert np.any(np.abs(A.entries.T @ (b - A.entries @ start)) > lam)
@@ -575,7 +559,7 @@ class TestContinuumGapAtStop:
     def test_gap_within_tolerance_on_a_finer_mesh(self, file, name):
         cfg = shipped_scenario(file, name)
         op, b, rcfg = scenario_inputs(cfg)
-        res = run_refinement(op, b, rcfg, noisy=cfg.snr_db is not None)
+        res = run_refinement(op, b, rcfg)
         assert res.stopped_by == "certificate_gap"
         assert res.continuum_gap <= _GAP_TOL
         # level 1 is 4x finer than the rule's mesh of sqrt(t) / _MESH_PER_WIDTH
@@ -603,10 +587,10 @@ class TestExchangeUnsticks:
 
     def test_exchange_step_lets_the_rule_fire(self, monkeypatch):
         op, b, rcfg = scenario_inputs(load_config(self.CFG))
-        res = run_refinement(op, b, rcfg, noisy=True)
+        res = run_refinement(op, b, rcfg)
         assert res.stopped_by == "certificate_gap" and res.rounds < rcfg.max_rounds
         # threshold selection alone runs into the round cap
         monkeypatch.setattr(refinement, "exchange_step", lambda grid, sel, points: refine_grid(grid, sel))
-        res = run_refinement(op, b, rcfg, noisy=True)
+        res = run_refinement(op, b, rcfg)
         assert res.stopped_by == "max_rounds"
         assert res.continuum_gap > _GAP_TOL
