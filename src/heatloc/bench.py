@@ -95,6 +95,10 @@ def _validate(cfg: ScenarioConfig) -> None:
     not_reals = [k for k in ("rho", "snr_db") if getattr(cfg, k) is not None and not _is_real(getattr(cfg, k))]
     if not_reals:
         raise ConfigError(f"{', '.join(not_reals)}: must be numbers")
+    numbers = ("domain_lo", "domain_hi", "source_positions", "amplitudes", "rho")
+    not_finite = [k for k in numbers if getattr(cfg, k) is not None and not _all_finite(getattr(cfg, k))]
+    if not_finite:
+        raise ConfigError(f"{', '.join(not_finite)}: must be finite numbers")
     errs = []
     if cfg.schema_version != SCHEMA_VERSION:
         errs.append(f"schema_version: expected {SCHEMA_VERSION}, got {cfg.schema_version}")
@@ -121,8 +125,10 @@ def _validate(cfg: ScenarioConfig) -> None:
         errs.append("n_times: must be >= 1")
     if cfg.rho is not None and cfg.rho <= 0:
         errs.append("rho: must be positive")
-    if cfg.snr_db is not None and math.isinf(cfg.snr_db) and cfg.snr_db < 0:
-        errs.append("snr_db: -inf is not meaningful")
+    if cfg.snr_db is not None and not cfg.snr_db > -math.inf:
+        errs.append(f"snr_db: must be a finite number or +inf, got {cfg.snr_db}")
+    if not all(0 <= seed < 2**64 for seed in (cfg.source_seed, cfg.noise_seed)):
+        errs.append("source_seed/noise_seed: must be in [0, 2**64)")
     if cfg.method not in ("refinement", "baseline"):
         errs.append(f"method: unknown method {cfg.method!r}")
     if cfg.method == "baseline" and cfg.dim != 1:
@@ -131,6 +137,19 @@ def _validate(cfg: ScenarioConfig) -> None:
         errs.append("eval_mesh: must be >= 2")
     if errs:
         raise ConfigError("; ".join(errs))
+
+
+def _all_finite(values) -> bool:
+    """True when every number in ``values`` (a number or nested lists) is finite."""
+    try:
+        return bool(np.all(np.isfinite(np.asarray(values, dtype=float))))
+    except ValueError as exc:  # a string or a ragged list
+        raise TypeError(exc) from exc
+
+
+def _noisy(cfg: ScenarioConfig) -> bool:
+    """True when the scenario adds noise: a finite ``snr_db``."""
+    return cfg.snr_db is not None and math.isfinite(cfg.snr_db)
 
 
 def _read_json_object(path) -> dict:
@@ -169,8 +188,8 @@ def load_configs(path, seed: int | None = None) -> list[ScenarioConfig]:
     """
     raw = _read_json_object(path)
     sweep = raw.pop("sweep", [{}])
-    if not isinstance(sweep, list) or not all(isinstance(o, dict) for o in sweep):
-        raise ConfigError("sweep: must be a list of objects")
+    if not (isinstance(sweep, list) and sweep and all(isinstance(o, dict) for o in sweep)):
+        raise ConfigError("sweep: must be a non-empty list of objects")
     docs = [raw | override for override in sweep]
     if seed is not None:
         docs = [doc | {"source_seed": seed, "noise_seed": seed} for doc in docs]
@@ -241,20 +260,15 @@ def build_operator(cfg: ScenarioConfig) -> MeasurementOperator:
     hi = np.asarray(cfg.domain_hi, dtype=float)
     tau, _ = _sample_time(cfg)
     times = tau * np.arange(1, cfg.n_times + 1)
+    if cfg.dim == 2 and cfg.n_times != 1:
+        raise ConfigError("n_times: 2D scenarios use a single time sample")
+    n = np.arange(cfg.n_sensors)
+    # the 1D and 2D forms differ in the last bit for some sensor counts; records keep each
     if cfg.dim == 1:
-        samples = SampleSet.uniform_1d(cfg.n_sensors, hi[0] - lo[0], times)
-        if lo[0] != 0.0:
-            axes = None if samples.grid_axes is None else (samples.grid_axes[0] + lo[0],)
-            samples = SampleSet(samples.xs + lo[0], samples.ts, axes)
+        axes = [n * ((hi[0] - lo[0]) / cfg.n_sensors) + lo[0]]
     else:
-        if cfg.n_times != 1:
-            raise ConfigError("n_times: 2D scenarios use a single time sample")
-        axes = tuple(
-            lo[j] + np.arange(cfg.n_sensors) * (hi[j] - lo[j]) / cfg.n_sensors
-            for j in range(cfg.dim)
-        )
-        samples = SampleSet.grid(axes, times[0])
-    return MeasurementOperator(samples)
+        axes = [lo[j] + n * (hi[j] - lo[j]) / cfg.n_sensors for j in range(cfg.dim)]
+    return MeasurementOperator(SampleSet.grid(axes, times))
 
 
 def synthesize(cfg: ScenarioConfig) -> tuple[SparseMeasure, MeasurementOperator, np.ndarray]:
@@ -262,7 +276,9 @@ def synthesize(cfg: ScenarioConfig) -> tuple[SparseMeasure, MeasurementOperator,
     truth = build_truth(cfg)
     op = build_operator(cfg)
     b = measure(op, truth)
-    if cfg.snr_db is not None and not math.isinf(cfg.snr_db):
+    if _noisy(cfg):
+        if not np.any(b):  # all-zero amplitudes, or sources too far from every sensor
+            raise ConfigError("snr_db: the sources' field is zero at every sensor, so the SNR is undefined")
         b = add_noise(b, cfg.snr_db, cfg.noise_seed)
     return truth, op, b
 
@@ -411,11 +427,13 @@ def refinement_config(cfg: ScenarioConfig, op: MeasurementOperator, b) -> Refine
     otherwise the section's number, otherwise the universal rule at ``b``.
     """
     rcfg = _method_config(cfg)
-    if cfg.snr_db is None or math.isinf(cfg.snr_db):
+    if not _noisy(cfg):
         rcfg.lasso_lambda = None
     elif rcfg.lasso_lambda is None:
         grid0 = CandidateGrid.uniform(rcfg.lo, rcfg.hi, rcfg.initial_points_per_dim)
         rcfg.lasso_lambda = lasso_lambda_universal(cfg.snr_db, op, grid0.points, b)
+        if rcfg.lasso_lambda == 0.0:
+            raise ConfigError("refinement.lasso_lambda: the universal rule is zero for all-zero measurements")
     return rcfg
 
 

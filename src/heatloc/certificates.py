@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .field import SparseMeasure, _is_count, _is_real, kernel_peak, tensor_points
+from .field import SparseMeasure, _is_count, _is_real, kernel_peak
 from .operators import (
     DictionaryMatrix,
     DualCertificate,
@@ -68,8 +68,8 @@ class CertConfig:
     def __post_init__(self) -> None:
         if not all(map(_is_count, (self.m, self.p_jackson, self.dim, self.mesh_points))):
             raise ValueError("m, p_jackson, dim and mesh_points must be integers")
-        if not _is_real(self.lam) or self.lam <= 0:
-            raise ValueError("width parameter lam must be a positive number")
+        if not (_is_real(self.lam) and 0 < self.lam < math.inf):
+            raise ValueError("width parameter lam must be a positive finite number")
         if self.m < 1 or self.p_jackson < 1:
             raise ValueError("m and p_jackson must be positive")
         if self.mesh_points < 2:
@@ -291,21 +291,8 @@ def _check_measure(mu0: SparseMeasure, i0) -> None:
         raise ValueError("soft-recovery conditions assume amplitudes summing to 1")
 
 
-def _mesh_values(g, axes) -> np.ndarray:
-    try:
-        return np.asarray(g.on_mesh(axes))
-    except (AttributeError, ValueError):
-        pass
-    pts = tensor_points(axes)
-    chunks = []
-    for start in range(0, pts.shape[0], 262144):
-        chunks.append(np.atleast_1d(g(pts[start : start + 262144])))
-    flat = np.concatenate(chunks)
-    return flat.reshape([len(a) for a in axes])
-
-
 def verify_soft_conditions(
-    g,
+    g: DualCertificate,
     mu0: SparseMeasure,
     i0: int,
     lam: float,
@@ -320,8 +307,8 @@ def verify_soft_conditions(
     Returns the tightest (sigma, tau) the certificate supports: sigma is the
     certificate modulus at the anchor atom, and tau is one minus the measured
     sup of |g - bump * g(p0)| over a dense mesh, shrunk by an off-mesh
-    Lipschitz margin and a Gaussian tail bound for the region beyond the mesh.
-    ``g`` must provide ``gradient_bound()``.  The noisy radius is that of
+    Lipschitz margin (from ``g.gradient_bound()``) and a Gaussian tail bound
+    for the region beyond the mesh.  The noisy radius is that of
     :func:`noisy_recovery_radius` (so ``rho >= 1`` and ``eps >= 0``), NaN
     when its level is not positive.
     """
@@ -339,23 +326,17 @@ def verify_soft_conditions(
     g0 = float(np.asarray(g(p0)).item())
     sigma = abs(g0)
 
-    weights = getattr(g, "weights", None)
-    samples = getattr(getattr(g, "op", None), "samples", None)
-    base_lo = np.minimum(np.min(mu0.positions, axis=0), p0)
-    base_hi = np.maximum(np.max(mu0.positions, axis=0), p0)
-    if samples is not None:
-        base_lo = np.minimum(base_lo, np.min(samples.xs, axis=0))
-        base_hi = np.maximum(base_hi, np.max(samples.xs, axis=0))
-    amp = sigma + 1.0
-    if weights is not None and samples is not None:
-        t_min = float(np.min(samples.ts))
-        amp += float(np.sum(np.abs(weights))) * kernel_peak(t_min, mu0.dim)
+    samples = g.op.samples
+    base_lo = np.minimum(np.min(mu0.positions, axis=0), np.minimum(p0, np.min(samples.xs, axis=0)))
+    base_hi = np.maximum(np.max(mu0.positions, axis=0), np.maximum(p0, np.max(samples.xs, axis=0)))
+    t_min = float(np.min(samples.ts))
+    amp = sigma + 1.0 + float(np.sum(np.abs(g.weights))) * kernel_peak(t_min, mu0.dim)
     pad = math.sqrt(4.0 * lam * math.log(amp * 1e13))
     lo, hi = base_lo - pad, base_hi + pad
     tail = amp * float(_bump(pad * pad, lam))
 
     axes = [np.linspace(lo[j], hi[j], mesh_points) for j in range(mu0.dim)]
-    values = _mesh_values(g, axes)
+    values = g.on_mesh(axes)
     bump = _bump_mesh(axes, p0, lam)
     sup_mesh = float(np.max(np.abs(values - g0 * bump)))
 
@@ -368,16 +349,15 @@ def verify_soft_conditions(
     tau = tau_mesh - margin - tail
     feasible = anchor >= 1.0 - 1e-9 and 0.0 < tau <= 1.0
 
-    weight_norm = float(np.linalg.norm(weights)) if weights is not None else math.nan
+    weight_norm = float(np.linalg.norm(g.weights))
     bound_noiseless = math.nan
     bound_noisy = math.nan
     if feasible and tau <= sigma * (1.0 + 1e-12):
         bound_noiseless = recovery_radius(tau, sigma, lam)
-        if not math.isnan(weight_norm):
-            try:
-                bound_noisy = noisy_recovery_radius(tau, sigma, lam, weight_norm, eps, rho)
-            except ValueError:
-                pass  # the noisy level is not positive: no noisy bound
+        try:
+            bound_noisy = noisy_recovery_radius(tau, sigma, lam, weight_norm, eps, rho)
+        except ValueError:
+            pass  # the noisy level is not positive: no noisy bound
 
     return CertificateReport(
         sigma=sigma,

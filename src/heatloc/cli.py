@@ -34,9 +34,12 @@ def _read_measurements(path: str) -> np.ndarray:
             raise ConfigError(f"{path}: expected a CSV with a 'value' column")
         lines = [line for line in fh if line.strip()]
     try:
-        return np.asarray([float(line.rsplit(",", 1)[-1]) for line in lines])
+        b = np.asarray([float(line.rsplit(",", 1)[-1]) for line in lines])
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    if not np.all(np.isfinite(b)):
+        raise ConfigError(f"{path}: measurements must be finite numbers")
+    return b
 
 
 def _write_measurements(path: str, b: np.ndarray) -> None:
@@ -113,8 +116,8 @@ def _cmd_certify(args) -> int:
         amplitudes = np.asarray(raw["source_amplitudes"], dtype=float)
         i0 = raw.get("i0", 0)
         eps, rho = raw.get("eps", 0.0), raw.get("rho", 1.0)
-        if not (_is_real(eps) and _is_real(rho)):
-            raise ValueError(f"eps and rho must be numbers, got {eps!r} and {rho!r}")
+        if not (_is_real(eps) and _is_real(rho) and math.isfinite(eps) and math.isfinite(rho)):
+            raise ValueError(f"eps and rho must be finite numbers, got {eps!r} and {rho!r}")
         eps, rho = float(eps), float(rho)
         mu0 = SparseMeasure(positions.reshape(-1, cert_cfg.dim), amplitudes)
         approx = calibrated_certificate(cert_cfg, mu0, i0)

@@ -8,6 +8,7 @@ certificate -- which is evaluable anywhere together with its spatial gradient.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,13 +35,12 @@ __all__ = [
 class SampleSet:
     """Spatiotemporal sample points: positions ``(d, dim)`` and times ``(d,)``.
 
-    ``grid_axes`` is set when the samples form a tensor grid at a single
-    time; certificate evaluation then uses a separable fast path.
+    ``grid_axes`` is derived: the sorted coordinates per axis when ``xs`` is
+    their :func:`tensor_points` mesh at one time, else None (see ``on_mesh``).
     """
 
     xs: np.ndarray
     ts: np.ndarray
-    grid_axes: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self) -> None:
         xs = np.atleast_2d(np.asarray(self.xs, dtype=float))
@@ -49,44 +49,28 @@ class SampleSet:
             raise ValueError("xs must be (d, dim) with one time per sample")
         if xs.shape[0] < 1:
             raise ValueError("sample set must be non-empty")
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ts))):
+            raise ValueError("sample positions and times must be finite")
         if np.any(ts <= 0):
             raise ValueError("all sample times must be positive")
         xs.setflags(write=False)
         ts.setflags(write=False)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ts", ts)
-        if self.grid_axes is not None:
-            axes = tuple(np.asarray(a, dtype=float) for a in self.grid_axes)
-            if len(axes) != xs.shape[1]:
-                raise ValueError("grid_axes must have one axis per dimension")
-            if np.prod([a.size for a in axes]) != xs.shape[0]:
-                raise ValueError("grid_axes do not match the number of samples")
-            if np.ptp(ts) != 0.0:
-                raise ValueError("tensor-grid samples must share a single time")
-            for a in axes:
-                a.setflags(write=False)
-            object.__setattr__(self, "grid_axes", axes)
 
     @classmethod
-    def uniform_1d(cls, n_sensors: int, length: float, times) -> "SampleSet":
-        """Sensors at n*length/n_sensors, n = 0..n_sensors-1, stacked time-major."""
-        if n_sensors < 1:
-            raise ValueError("need at least one sensor")
-        sensors = np.arange(n_sensors) * (length / n_sensors)
+    def grid(cls, axes, times) -> "SampleSet":
+        """The tensor mesh of per-axis sensor coordinates at each of ``times``, time-major."""
+        pts = tensor_points([np.asarray(a, dtype=float) for a in axes])
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        xs = np.tile(sensors, times.size).reshape(-1, 1)
-        ts = np.repeat(times, n_sensors)
-        if times.size == 1:
-            return cls(xs, ts, grid_axes=(sensors,))
-        return cls(xs, ts)
+        return cls(np.tile(pts, (times.size, 1)), np.repeat(times, pts.shape[0]))
 
-    @classmethod
-    def grid(cls, axes, t: float) -> "SampleSet":
-        """Tensor product of per-axis sensor coordinates at a single time."""
-        axes = tuple(np.asarray(a, dtype=float) for a in axes)
-        xs = tensor_points(axes)
-        ts = np.full(xs.shape[0], float(t))
-        return cls(xs, ts, grid_axes=axes)
+    @functools.cached_property
+    def grid_axes(self) -> tuple[np.ndarray, ...] | None:
+        axes = tuple(np.unique(coords) for coords in self.xs.T)
+        if np.any(self.ts != self.ts[0]) or math.prod(map(len, axes)) != self.d:
+            return None
+        return axes if np.array_equal(tensor_points(axes), self.xs) else None
 
     @property
     def d(self) -> int:
@@ -173,16 +157,18 @@ class DualCertificate:
     def on_mesh(self, axes) -> np.ndarray:
         """Values on a tensor evaluation mesh, one 1D coordinate array per axis.
 
-        Requires the sample set to be a tensor grid at a single time; the
-        evaluation then factorizes into per-axis 1D kernel matrices, whose
-        product is the dim-D kernel.
+        Separable where the samples are a tensor grid at one time (``grid_axes``):
+        per-axis 1D kernel matrices, whose product is the dim-D kernel.  Point
+        by point otherwise, at most 2**22 kernel entries at a time.
         """
+        axes = [np.asarray(a, dtype=float) for a in axes]
+        if len(axes) != self.op.dim:
+            raise ValueError("mesh must have one axis per dimension")
         grid_axes = self.op.samples.grid_axes
         if grid_axes is None:
-            raise ValueError("on_mesh requires tensor-grid samples")
-        axes = [np.asarray(a, dtype=float) for a in axes]
-        if len(axes) != len(grid_axes):
-            raise ValueError("mesh must have one axis per dimension")
+            pts, step = tensor_points(axes), max(1, (1 << 22) // self.op.d)
+            vals = np.concatenate([self(pts[i : i + step]) for i in range(0, len(pts), step)])
+            return vals.reshape([a.size for a in axes])
         t = float(self.op.samples.ts[0])
         factors = [
             kernel_matrix(ga.reshape(-1, 1), t, ax.reshape(-1, 1))

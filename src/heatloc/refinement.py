@@ -176,10 +176,7 @@ def continuum_gap(certificate: DualCertificate, lo, hi, points, values) -> tuple
     n = np.array([math.ceil((h - l) * _MESH_PER_WIDTH / math.sqrt(t)) + 1 for l, h in zip(lo, hi)])
     spacing = (hi - lo) / (n - 1)
     axes = [l + s * np.arange(m) for l, s, m in zip(lo, spacing, n)]
-    if op.samples.grid_axes is not None:
-        mesh = certificate.on_mesh(axes)
-    else:
-        mesh = certificate(tensor_points(axes)).reshape(n)
+    mesh = certificate.on_mesh(axes)
     # local maxima of |nu| on the mesh, as flat indices into its zero-padded copy
     padded = np.zeros(n + 2)
     padded[(slice(1, -1),) * op.dim] = np.abs(mesh)

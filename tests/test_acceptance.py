@@ -218,7 +218,7 @@ def test_baseline_contrast_rho_violation():
     delta2 = L / 16
     tau = rho * delta2 * delta2
     truth = SparseMeasure.from_1d(REFERENCE_POSITIONS, [1.0, 1.0, 1.0])
-    op = MeasurementOperator(SampleSet.uniform_1d(16, L, [tau]))
+    op = MeasurementOperator(SampleSet.grid([np.arange(16) * (L / 16)], [tau]))
     b = add_noise(measure(op, truth), 40.0, 1)
     A = baseline_matrix(16, 1, 128, tau, L / 128, delta2)
     x = sl0_solve(A, b, Sl0Config())
@@ -283,7 +283,7 @@ def test_2d_snr_sweep():
 def test_adjoint_property_suite():
     rng = np.random.default_rng(2024)
     tau = rho_bounds(16, 1).midpoint * (L / 16) ** 2
-    op = MeasurementOperator(SampleSet.uniform_1d(16, L, [tau]))
+    op = MeasurementOperator(SampleSet.grid([np.arange(16) * (L / 16)], [tau]))
     from heatloc.operators import certificate_eval
 
     worst = 0.0
@@ -459,7 +459,7 @@ def test_theory_practice_consistency():
 
 def test_support_perturbation_suite():
     tau = rho_bounds(16, 1).midpoint * (L / 16) ** 2
-    op = MeasurementOperator(SampleSet.uniform_1d(16, L, [tau]))
+    op = MeasurementOperator(SampleSet.grid([np.arange(16) * (L / 16)], [tau]))
     t = float(op.samples.ts[0])
     truth = SparseMeasure.from_1d([0.5, 3.2], [1.0, 0.7])
     b = measure(op, truth)

@@ -91,7 +91,7 @@ class TestSl0Solve:
         delta2 = L / n_sensors
         tau = rho * delta2 * delta2
         truth = SparseMeasure.from_1d([24 * L / P, 60 * L / P, 100 * L / P], [1.0, 1.0, 1.0])
-        op = MeasurementOperator(SampleSet.uniform_1d(n_sensors, L, [tau]))
+        op = MeasurementOperator(SampleSet.grid([np.arange(n_sensors) * (L / n_sensors)], [tau]))
         b = add_noise(measure(op, truth), 40.0, 1)
         A = baseline_matrix(n_sensors, 1, P, tau, L / P, delta2)
         x = sl0_solve(A, b)

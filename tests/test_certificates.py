@@ -16,8 +16,14 @@ from heatloc.certificates import (
     verify_soft_conditions,
     verify_soft_stable_inequality,
 )
-from heatloc.field import SparseMeasure, add_noise
-from heatloc.operators import build_dictionary, measure
+from heatloc.field import SparseMeasure, add_noise, kernel_peak
+from heatloc.operators import (
+    DualCertificate,
+    MeasurementOperator,
+    SampleSet,
+    build_dictionary,
+    measure,
+)
 
 from oracles import (
     jackson_multiplier_quadrature,
@@ -173,28 +179,18 @@ class TestBuildCertificate:
         assert 0.5 < approx.coeff_norm <= 1.0 + 1e-8
 
 
-class _ExactBump:
-    """Synthetic certificate equal to the similarity bump itself."""
-
-    def __init__(self, p0, lam):
-        self.p0 = np.atleast_1d(np.asarray(p0, dtype=float))
-        self.lam = lam
-
-    def __call__(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        d2 = np.einsum("nd,nd->n", x - self.p0, x - self.p0)
-        vals = np.exp(-d2 / (4 * self.lam))
-        return vals[0] if vals.size == 1 else vals
-
-    def gradient_bound(self):
-        return math.exp(-0.5) / math.sqrt(2 * self.lam)
+def exact_bump(p0, lam) -> DualCertificate:
+    """The similarity bump itself: one sensor at p0, at time 2*lam, weighted by 1 / kernel peak."""
+    p0 = np.atleast_1d(np.asarray(p0, dtype=float))
+    op = MeasurementOperator(SampleSet(p0[None, :], [2 * lam]))
+    return DualCertificate(op, np.array([1.0 / kernel_peak(2 * lam, p0.size)]))
 
 
 class TestVerifySoftConditions:
     def test_exact_bump_reaches_unit_levels(self):
         lam = 0.02
         mu = SparseMeasure(np.array([[0.1, -0.2]]), [1.0])
-        report = verify_soft_conditions(_ExactBump(mu.positions[0], lam), mu, 0, lam, mesh_points=512)
+        report = verify_soft_conditions(exact_bump(mu.positions[0], lam), mu, 0, lam, mesh_points=512)
         assert report.sigma == pytest.approx(1.0, abs=1e-12)
         assert report.tau_mesh == pytest.approx(1.0, abs=1e-10)  # zero mesh sup-error
         assert report.tau == pytest.approx(1.0 - report.mesh_margin - report.tail_bound, abs=1e-12)
@@ -224,7 +220,7 @@ class TestVerifySoftConditions:
         lam = 0.01
         mu = SparseMeasure(np.array([[0.0, 0.0]]), [2.0])
         with pytest.raises(ValueError):
-            verify_soft_conditions(_ExactBump(mu.positions[0], lam), mu, 0, lam)
+            verify_soft_conditions(exact_bump(mu.positions[0], lam), mu, 0, lam)
 
     @staticmethod
     def _two_source_certificate():

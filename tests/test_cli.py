@@ -156,6 +156,20 @@ class TestCli:
             ({"rho": True}, None),
             ({"snr_db": True}, None),
             ({"method": "baseline", "sl0": {"sigma_min": 0.0}}, None),
+            ({"amplitudes": [math.nan, 1.0]}, None),
+            ({"domain_hi": [math.inf]}, None),
+            ({"source_positions": [[math.nan], [4.0]]}, None),
+            ({"rho": math.nan}, None),
+            ({"rho": math.inf}, None),
+            ({"snr_db": math.nan}, None),
+            ({"amplitudes": [0.0, 0.0], "snr_db": 30.0}, None),
+            ({"source_positions": [[1e3], [2e3]], "snr_db": 30.0}, None),
+            ({}, "index,value\n" + "".join(f"{i},{'nan' if i == 3 else 0.5}\n" for i in range(12))),
+            ({}, "index,value\n" + "".join(f"{i},{'inf' if i == 3 else 0.5}\n" for i in range(12))),
+            ({"snr_db": 30.0}, "index,value\n" + "".join(f"{i},0\n" for i in range(12))),
+            ({"noise_seed": -3}, None),
+            ({"source_seed": 2**64}, None),
+            ({"sweep": []}, None),
         ],
         ids=[
             "malformed_json", "json_list", "string_count", "scalar_domain",
@@ -166,7 +180,11 @@ class TestCli:
             "fractional_max_rounds", "fractional_sl0_inner_iters", "bool_max_rounds",
             "bool_solver_max_iters", "fractional_initial_points", "bool_lasso_lambda",
             "negative_lasso_lambda", "zero_lasso_lambda", "bool_rho", "bool_snr_db",
-            "sl0_zero_sigma_min",
+            "sl0_zero_sigma_min", "nan_amplitude", "infinite_domain_bound", "nan_position",
+            "nan_rho", "infinite_rho", "nan_snr_db", "zero_amplitudes_with_noise",
+            "sources_beyond_every_sensor_with_noise",
+            "nan_measurement", "infinite_measurement", "zero_measurements_universal_penalty",
+            "negative_noise_seed", "seed_beyond_uint64", "empty_sweep",
         ],
     )
     def test_bad_inputs_are_config_errors(self, tmp_path, capsys, config, measurements):
@@ -180,6 +198,11 @@ class TestCli:
             csv.write_text(measurements)
             argv = ["solve", "--measurements", str(csv)] + argv[1:]
         assert main(argv) == 1
+        assert "config error" in capsys.readouterr().err
+
+    def test_negative_seed_flag_is_config_error(self, tmp_path, capsys):
+        path = write_scenario(tmp_path)
+        assert main(["bench", "--config", path, "--out", str(tmp_path / "o"), "--seed", "-1"]) == 1
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -234,6 +257,12 @@ class TestCli:
             {"lam": True},
             {"eps": [0.1]},
             {"rho": "1.05"},
+            {"lam": math.nan},
+            {"lam": math.inf},
+            {"eps": math.nan},
+            {"eps": math.inf},
+            {"rho": math.nan},
+            {"rho": math.inf},
         ):
             doc = json.loads(cfg.read_text())
             doc.update(override)

@@ -18,7 +18,7 @@ from heatloc.operators import (
 
 
 def make_op_1d(n_sensors=16, length=2 * math.pi, t=0.28):
-    return MeasurementOperator(SampleSet.uniform_1d(n_sensors, length, [t]))
+    return MeasurementOperator(SampleSet.grid([np.arange(n_sensors) * (length / n_sensors)], [t]))
 
 
 class TestSampleSet:
@@ -27,7 +27,7 @@ class TestSampleSet:
             SampleSet(np.zeros((1, 1)), np.array([0.0]))
 
     def test_time_major_stacking(self):
-        ss = SampleSet.uniform_1d(3, 3.0, [0.1, 0.2])
+        ss = SampleSet.grid([[0.0, 1.0, 2.0]], [0.1, 0.2])
         np.testing.assert_allclose(ss.ts, [0.1, 0.1, 0.1, 0.2, 0.2, 0.2])
         np.testing.assert_allclose(ss.xs.ravel(), [0, 1, 2, 0, 1, 2])
 
@@ -35,7 +35,31 @@ class TestSampleSet:
         ax = np.array([0.0, 0.5, 1.0])
         ss = SampleSet.grid((ax, ax), 0.3)
         assert ss.d == 9 and ss.dim == 2
-        assert ss.grid_axes is not None
+        assert len(ss.grid_axes) == 2
+        for derived in ss.grid_axes:
+            np.testing.assert_array_equal(derived, ax)
+
+    def test_rejects_non_finite_samples(self):
+        for xs, ts in (([[np.nan]], [0.1]), ([[np.inf]], [0.1]), ([[0.0]], [np.nan]), ([[0.0]], [np.inf])):
+            with pytest.raises(ValueError, match="finite"):
+                SampleSet(np.array(xs), np.array(ts))
+
+    def test_tensor_structure_derived_without_grid(self):
+        axes = (np.array([-1.0, 0.5, 2.0]), np.array([0.0, 0.25]))
+        ss = SampleSet(tensor_points(axes), np.full(6, 0.3))
+        assert len(ss.grid_axes) == 2
+        for derived, ax in zip(ss.grid_axes, axes):
+            np.testing.assert_array_equal(derived, ax)
+
+    def test_no_tensor_structure(self):
+        axes = (np.array([-1.0, 0.5, 2.0]), np.array([0.0, 0.25]))
+        pts = tensor_points(axes)
+        permuted = SampleSet(pts[[1, 0, 2, 3, 4, 5]], np.full(6, 0.3))
+        unsorted = SampleSet(np.array([[0.5], [-1.0], [2.0]]), np.full(3, 0.3))
+        two_times = SampleSet.grid([axes[0]], [0.3, 0.6])
+        scattered = SampleSet(pts[:5], np.full(5, 0.3))  # a mesh with one node missing
+        for ss in (permuted, unsorted, two_times, scattered):
+            assert ss.grid_axes is None
 
 
 class TestMeasure:
@@ -124,6 +148,22 @@ class TestCertificate:
         mesh_vals = cert.on_mesh(mesh)
         direct = cert(tensor_points(mesh)).reshape([m.size for m in mesh])
         np.testing.assert_allclose(mesh_vals, direct, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("layout", ["tensor_2d_from_points", "two_times_1d", "unsorted_1d"])
+    def test_mesh_evaluation_on_any_sample_set(self, layout):
+        # separable on a derived tensor grid, point by point otherwise
+        if layout == "tensor_2d_from_points":
+            samples = SampleSet(tensor_points([np.linspace(-1.0, 1.0, 5), [-0.5, 0.5]]), np.full(10, 0.2))
+        elif layout == "two_times_1d":
+            samples = SampleSet.grid([np.linspace(-1.0, 1.0, 7)], [0.2, 0.5])
+        else:
+            samples = SampleSet(np.array([[0.3], [-0.8], [0.9], [-0.1]]), np.full(4, 0.2))
+        assert (samples.grid_axes is not None) == (layout == "tensor_2d_from_points")
+        rng = np.random.default_rng(7)
+        cert = DualCertificate(MeasurementOperator(samples), rng.standard_normal(samples.d))
+        mesh = [np.linspace(-1.2, 1.2, 11), np.linspace(-0.9, 0.9, 13)][: samples.dim]
+        direct = cert(tensor_points(mesh)).reshape([m.size for m in mesh])
+        np.testing.assert_allclose(cert.on_mesh(mesh), direct, rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_gradient_bound_holds_on_dense_mesh(self, dim):

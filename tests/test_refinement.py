@@ -44,7 +44,7 @@ CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 def reference_op_1d(rho=1.8125, n_sensors=16, length=2 * math.pi):
     tau = rho * (length / n_sensors) ** 2
-    return MeasurementOperator(SampleSet.uniform_1d(n_sensors, length, [tau]))
+    return MeasurementOperator(SampleSet.grid([np.arange(n_sensors) * (length / n_sensors)], [tau]))
 
 
 class TestSelectPeaks1d:
@@ -229,10 +229,11 @@ class TestContinuumGap:
     """Two sensors' bumps, far enough apart that each peak is its sensor's to 1e-6."""
 
     def test_off_mesh_peak_of_scattered_samples(self):
-        # no tensor layout: the mesh is evaluated point by point; neither
-        # peak is a mesh node, so the Newton steps find the value 1.01
-        op = MeasurementOperator(SampleSet(np.array([[1.234], [4.321]]), [0.3, 0.3]))
-        cert = bump_certificate(op, {0: 1.01, 1: -0.5})
+        # unsorted sensors are no tensor layout: the mesh is evaluated point
+        # by point; neither peak is a mesh node, so the Newton steps find 1.01
+        op = MeasurementOperator(SampleSet(np.array([[4.321], [1.234]]), [0.3, 0.3]))
+        assert op.samples.grid_axes is None
+        cert = bump_certificate(op, {1: 1.01, 0: -0.5})
         gap, points = continuum_gap(cert, [0.0], [2 * math.pi], np.empty((0, 1)), np.empty(0))
         assert gap == pytest.approx(0.01, abs=1e-6)
         np.testing.assert_allclose(points, [[1.234]], rtol=0, atol=1e-6)

@@ -185,7 +185,7 @@ class TestLasso:
 def _kernel_instance(seed: int, d: int = 12, P: int = 80):
     """A refinement-like LASSO instance: heat-kernel columns, noisy data, lam = 5% of max|A^T b|."""
     rng = np.random.default_rng(seed)
-    op = MeasurementOperator(SampleSet.uniform_1d(d, 2 * np.pi, [0.25]))
+    op = MeasurementOperator(SampleSet.grid([np.arange(d) * (2 * np.pi / d)], [0.25]))
     A = build_dictionary(op, np.sort(rng.uniform(0.0, 2 * np.pi, P))).entries
     b = A[:, rng.choice(P, 3, replace=False)] @ rng.uniform(0.5, 1.5, 3)
     b = b + 0.01 * np.linalg.norm(b) / np.sqrt(d) * rng.standard_normal(d)
