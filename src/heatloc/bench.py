@@ -83,19 +83,19 @@ class ScenarioConfig:
     method: str = "refinement"  # refinement | baseline
     refinement: dict = dc_field(default_factory=dict)
     sl0: dict = dc_field(default_factory=dict)
-    eval_mesh: int = 256
     schema_version: int = SCHEMA_VERSION
 
 
 def _validate(cfg: ScenarioConfig) -> None:
-    counts = ("dim", "s", "grid_size", "n_sensors", "n_times", "eval_mesh", "source_seed", "noise_seed")
+    counts = ("dim", "s", "grid_size", "n_sensors", "n_times", "source_seed", "noise_seed")
     not_counts = [k for k in counts if not _is_count(getattr(cfg, k))]
     if not_counts:
         raise ConfigError(f"{', '.join(not_counts)}: must be integers")
-    not_reals = [k for k in ("rho", "snr_db") if getattr(cfg, k) is not None and not _is_real(getattr(cfg, k))]
+    reals = ("rho", "snr_db", "min_separation")
+    not_reals = [k for k in reals if getattr(cfg, k) is not None and not _is_real(getattr(cfg, k))]
     if not_reals:
         raise ConfigError(f"{', '.join(not_reals)}: must be numbers")
-    numbers = ("domain_lo", "domain_hi", "source_positions", "amplitudes", "rho")
+    numbers = ("domain_lo", "domain_hi", "source_positions", "amplitudes", "rho", "min_separation")
     not_finite = [k for k in numbers if getattr(cfg, k) is not None and not _all_finite(getattr(cfg, k))]
     if not_finite:
         raise ConfigError(f"{', '.join(not_finite)}: must be finite numbers")
@@ -115,6 +115,8 @@ def _validate(cfg: ScenarioConfig) -> None:
     if cfg.source_mode == "explicit":
         if cfg.source_positions is None or len(cfg.source_positions) != cfg.s:
             errs.append("source_positions: explicit mode needs exactly s positions")
+    if cfg.min_separation is None or cfg.min_separation < 0:
+        errs.append("min_separation: must be a number >= 0")
     if cfg.amplitudes is not None and len(cfg.amplitudes) != cfg.s:
         errs.append("amplitudes: need exactly s values (or null for all ones)")
     if cfg.grid_size < 1:
@@ -133,8 +135,6 @@ def _validate(cfg: ScenarioConfig) -> None:
         errs.append(f"method: unknown method {cfg.method!r}")
     if cfg.method == "baseline" and cfg.dim != 1:
         errs.append("method: the baseline is defined for dim = 1 only")
-    if cfg.eval_mesh < 2:
-        errs.append("eval_mesh: must be >= 2")
     if errs:
         raise ConfigError("; ".join(errs))
 
@@ -152,11 +152,19 @@ def _noisy(cfg: ScenarioConfig) -> bool:
     return cfg.snr_db is not None and math.isfinite(cfg.snr_db)
 
 
+def _json_int(text: str) -> int:
+    """A JSON integer literal; one beyond float range is a config error, since numbers are read as floats."""
+    if math.isinf(float(text)):
+        raise ConfigError(f"integer {text[:12]}... ({len(text)} characters) is too large for a float")
+    return int(text)
+
+
 def _read_json_object(path) -> dict:
-    """The JSON object in a file; malformed JSON or another top-level type is a config error."""
+    """The JSON object in a file; malformed JSON, an integer too large for a float or
+    another top-level type is a config error."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_int=_json_int)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -196,8 +204,13 @@ def load_configs(path, seed: int | None = None) -> list[ScenarioConfig]:
     return [load_config(doc) for doc in docs]
 
 
+def _json_text(doc) -> str:
+    """``doc`` in the one JSON format of every file heatloc writes: sorted keys, indent 2, final newline."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 def dump_config(cfg: ScenarioConfig) -> str:
-    return json.dumps(dataclasses.asdict(cfg), sort_keys=True, indent=2) + "\n"
+    return _json_text(dataclasses.asdict(cfg))
 
 
 def lasso_lambda_universal(snr_db: float, op: MeasurementOperator, grid_points, b) -> float:
@@ -380,9 +393,10 @@ class RunArtifacts:
 
 
 def _field_rmse(truth: SparseMeasure, estimate: SparseMeasure, cfg: ScenarioConfig, t: float) -> float:
+    """RMS difference of the two fields at time ``t`` on a uniform mesh of the domain."""
     lo = np.asarray(cfg.domain_lo, dtype=float)
     hi = np.asarray(cfg.domain_hi, dtype=float)
-    n = cfg.eval_mesh if cfg.dim == 1 else min(cfg.eval_mesh, 128)
+    n = 256 if cfg.dim == 1 else 128
     pts = tensor_points([np.linspace(lo[j], hi[j], n) for j in range(cfg.dim)])
     err = evaluate_field(truth, pts, t) - evaluate_field(estimate, pts, t)
     return float(np.sqrt(np.mean(err**2)))
@@ -552,59 +566,29 @@ def _csv_text(header: list[str], table) -> str:
 
 
 def emit_results(artifacts: RunArtifacts, out_dir: str, cfg: ScenarioConfig) -> dict:
-    """Write the canonical record plus flat tabular files; returns the paths.
+    """Write the canonical record, its timing sidecar, the config and, for a
+    refinement run, the final grid's certificate table; returns the paths.
 
     The record file is byte-stable for identical configs; timing lives in a
     separate sidecar so it never perturbs the canonical output.
     """
-    paths = {}
+    paths = {
+        "record": os.path.join(out_dir, "record.json"),
+        "meta": os.path.join(out_dir, "run_meta.json"),
+        "config": os.path.join(out_dir, "config.json"),
+    }
     try:
-        record_text = json.dumps(artifacts.record.to_dict(), sort_keys=True, indent=2) + "\n"
-        paths["record"] = os.path.join(out_dir, "record.json")
-        _atomic_write(paths["record"], record_text)
-
+        _atomic_write(paths["record"], _json_text(artifacts.record.to_dict()))
         meta = {"runtime_s": artifacts.runtime_s, "exit_code": artifacts.exit_code}
-        paths["meta"] = os.path.join(out_dir, "run_meta.json")
-        _atomic_write(paths["meta"], json.dumps(meta, sort_keys=True, indent=2) + "\n")
-
-        paths["config"] = os.path.join(out_dir, "config.json")
+        _atomic_write(paths["meta"], _json_text(meta))
         _atomic_write(paths["config"], dump_config(cfg))
-
-        dim = artifacts.truth.dim
-        coord_names = ["x", "y"][:dim]
         result = artifacts.result
         if result is not None:
-            # the last round's certificate values on the final grid
+            # the last round's certificate values on the final grid: not in the record
             paths["certificate"] = os.path.join(out_dir, "certificate.csv")
+            header = ["x", "y"][: cfg.dim] + ["certificate"]
             table = np.column_stack([result.final_grid, result.nu])
-            _atomic_write(paths["certificate"], _csv_text(coord_names + ["certificate"], table))
-
-        truth, est = artifacts.truth, artifacts.estimate
-        i, j = np.asarray(artifacts.record.matched_pairs, dtype=np.intp).reshape(-1, 2).T
-        atoms = np.column_stack(
-            [
-                truth.positions[i], truth.amplitudes[i],
-                est.positions[j], est.amplitudes[j],
-                artifacts.record.position_errors,
-            ]
-        )
-        header = (
-            [f"true_{c}" for c in coord_names]
-            + ["true_amplitude"]
-            + [f"est_{c}" for c in coord_names]
-            + ["est_amplitude", "position_error"]
-        )
-        paths["atoms"] = os.path.join(out_dir, "atoms.csv")
-        _atomic_write(paths["atoms"], _csv_text(header, atoms))
-
-        t = float(artifacts.operator.samples.ts[0])
-        lo = np.asarray(cfg.domain_lo, dtype=float)
-        hi = np.asarray(cfg.domain_hi, dtype=float)
-        n = 256 if dim == 1 else 64
-        pts = tensor_points([np.linspace(lo[k], hi[k], n) for k in range(dim)])
-        field = np.column_stack([pts, evaluate_field(truth, pts, t), evaluate_field(est, pts, t)])
-        paths["field"] = os.path.join(out_dir, "field.csv")
-        _atomic_write(paths["field"], _csv_text(coord_names + ["field_true", "field_est"], field))
+            _atomic_write(paths["certificate"], _csv_text(header, table))
     except OSError as exc:
         raise OSError(f"failed writing results under {out_dir!r}: {exc}") from exc
     return paths

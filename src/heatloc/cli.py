@@ -8,7 +8,6 @@ refinement stop rule did not fire or an inner solve did not converge
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -63,10 +62,7 @@ def _cmd_simulate(args) -> int:
         "positions": truth.positions.tolist(),
         "amplitudes": truth.amplitudes.tolist(),
     }
-    bench._atomic_write(
-        os.path.join(args.out, "truth.json"),
-        json.dumps(truth_doc, sort_keys=True, indent=2) + "\n",
-    )
+    bench._atomic_write(os.path.join(args.out, "truth.json"), bench._json_text(truth_doc))
     bench._atomic_write(os.path.join(args.out, "config.json"), bench.dump_config(cfg))
     print(f"wrote {op.d} measurements to {args.out}")
     return 0
@@ -86,9 +82,7 @@ def _cmd_solve(args) -> int:
         "amplitudes": estimate.amplitudes.tolist(),
     }
     os.makedirs(args.out, exist_ok=True)
-    bench._atomic_write(
-        os.path.join(args.out, "estimate.json"), json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    )
+    bench._atomic_write(os.path.join(args.out, "estimate.json"), bench._json_text(doc))
     print(f"recovered {estimate.n_atoms} atoms -> {args.out}/estimate.json")
     return bench.exit_code(result)
 
@@ -150,10 +144,7 @@ def _cmd_certify(args) -> int:
         "lam": cert_cfg.lam,
     }
     os.makedirs(args.out, exist_ok=True)
-    bench._atomic_write(
-        os.path.join(args.out, "certificate_report.json"),
-        json.dumps(doc, sort_keys=True, indent=2) + "\n",
-    )
+    bench._atomic_write(os.path.join(args.out, "certificate_report.json"), bench._json_text(doc))
     axis = np.linspace(-1.0, 1.0, 1024)
     if cert_cfg.dim == 1:
         pts = axis.reshape(-1, 1)

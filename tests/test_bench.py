@@ -197,37 +197,29 @@ class TestRunScenario:
         assert rec.rounds == 0 and rec.per_round == []
         assert rec.stopped_by is None and math.isnan(rec.continuum_gap)
 
-    def test_tabular_outputs(self, tmp_path):
-        cfg = small_scenario()
+    @pytest.mark.parametrize("overrides, files", [
+        ({}, {"record": "record.json", "meta": "run_meta.json", "config": "config.json",
+              "certificate": "certificate.csv"}),
+        ({"method": "baseline", "s": 3, "source_positions": None, "source_mode": "on_grid", "n_sensors": 16},
+         {"record": "record.json", "meta": "run_meta.json", "config": "config.json"}),
+    ], ids=["refinement", "baseline"])
+    def test_output_files(self, tmp_path, overrides, files):
+        # the record holds the results; the one table is the final grid's
+        # certificate, which the record does not hold
+        cfg = small_scenario(**overrides)
         art = run_scenario(cfg)
         paths = emit_results(art, str(tmp_path), cfg)
+        assert paths == {key: str(tmp_path / name) for key, name in files.items()}
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files.values())
+        if art.result is None:
+            return
         cert_lines = open(paths["certificate"]).read().strip().split("\n")
         assert cert_lines[0] == "x,certificate"
         assert len(cert_lines) == 1 + art.result.final_grid.shape[0]
-        field_lines = open(paths["field"]).read().strip().split("\n")
-        assert field_lines[0] == "x,field_true,field_est"
-        assert len(field_lines) == 1 + 256
         # 17-significant-digit formatting round-trips exactly
         table = np.array([[float(v) for v in line.split(",")] for line in cert_lines[1:]])
         np.testing.assert_array_equal(table[:, 0], art.result.final_grid[:, 0])
         np.testing.assert_array_equal(table[:, 1], art.result.nu)
-
-    def test_field_csv_matches_mesh_in_2d(self, tmp_path):
-        cfg = small_scenario(
-            dim=2,
-            domain_lo=[0.0, 0.0],
-            domain_hi=[2 * math.pi, 2 * math.pi],
-            source_positions=[[1.2, 2.0], [4.0, 4.5]],
-            n_sensors=8,
-            snr_db=20.0,
-            refinement={"max_rounds": 3, "lasso_lambda": "universal",
-                        "solver": {"max_iters": 20000, "tol_primal": 1e-6, "tol_dual": 1e-6}},
-        )
-        art = run_scenario(cfg)
-        paths = emit_results(art, str(tmp_path), cfg)
-        lines = open(paths["field"]).read().strip().split("\n")
-        assert lines[0] == "x,y,field_true,field_est"
-        assert len(lines) == 1 + 64 * 64
 
     @pytest.mark.parametrize("noise_seed, positions", [
         (14, [[3.788478, 2.231539], [4.438421, 4.393836], [5.183725, 1.640621]]),

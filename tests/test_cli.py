@@ -8,6 +8,7 @@ from heatloc import bench
 from heatloc.cli import main
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+HUGE = 10**400  # a JSON integer beyond float range
 
 
 def write_scenario(tmp_path, **overrides):
@@ -170,6 +171,21 @@ class TestCli:
             ({"noise_seed": -3}, None),
             ({"source_seed": 2**64}, None),
             ({"sweep": []}, None),
+            ({"eval_mesh": 256}, None),
+            ({"rho": HUGE}, None),
+            ({"snr_db": HUGE}, None),
+            ({"min_separation": HUGE}, None),
+            ({"domain_hi": [HUGE]}, None),
+            ({"amplitudes": [HUGE, 1]}, None),
+            ({"source_positions": [[HUGE], [4]]}, None),
+            ({"n_sensors": HUGE}, None),
+            ({"n_times": HUGE}, None),
+            ({"snr_db": 30.0, "refinement": {"lasso_lambda": HUGE}}, None),
+            ({"refinement": {"solver": {"tol_primal": HUGE}}}, None),
+            ({"refinement": {"initial_points_per_dim": HUGE}}, None),
+            ({"source_mode": "off_grid", "min_separation": "a"}, None),
+            ({"source_mode": "off_grid", "min_separation": math.nan}, None),
+            ({"source_mode": "off_grid", "min_separation": -1.0}, None),
         ],
         ids=[
             "malformed_json", "json_list", "string_count", "scalar_domain",
@@ -184,7 +200,11 @@ class TestCli:
             "nan_rho", "infinite_rho", "nan_snr_db", "zero_amplitudes_with_noise",
             "sources_beyond_every_sensor_with_noise",
             "nan_measurement", "infinite_measurement", "zero_measurements_universal_penalty",
-            "negative_noise_seed", "seed_beyond_uint64", "empty_sweep",
+            "negative_noise_seed", "seed_beyond_uint64", "empty_sweep", "removed_eval_mesh",
+            "huge_int_rho", "huge_int_snr_db", "huge_int_min_separation", "huge_int_domain_hi",
+            "huge_int_amplitude", "huge_int_position", "huge_int_sensor_count", "huge_int_time_count",
+            "huge_int_lasso_lambda", "huge_int_solver_tol", "huge_int_initial_points",
+            "string_min_separation", "nan_min_separation", "negative_min_separation",
         ],
     )
     def test_bad_inputs_are_config_errors(self, tmp_path, capsys, config, measurements):
@@ -263,6 +283,10 @@ class TestCli:
             {"eps": math.inf},
             {"rho": math.nan},
             {"rho": math.inf},
+            {"lam": HUGE},
+            {"eps": HUGE},
+            {"rho": HUGE},
+            {"source_positions": [[HUGE], [0.31]]},
         ):
             doc = json.loads(cfg.read_text())
             doc.update(override)
