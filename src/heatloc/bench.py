@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .baseline import Sl0Config, sl0_solve, validate_rho
-from .field import SparseMeasure, _is_count, _is_real, add_noise, evaluate_field, tensor_points
+from .field import SparseMeasure, _fits_array, _is_count, _is_real, add_noise, evaluate_field, tensor_points
 from .operators import (
     MeasurementOperator,
     SampleSet,
@@ -125,6 +125,8 @@ def _validate(cfg: ScenarioConfig) -> None:
         errs.append("n_sensors: must be >= 2")
     if cfg.n_times < 1:
         errs.append("n_times: must be >= 1")
+    if cfg.dim in (1, 2) and not _fits_array(cfg.n_sensors**cfg.dim * cfg.n_times):
+        errs.append("n_sensors, n_times: more samples than one array can hold")
     if cfg.rho is not None and cfg.rho <= 0:
         errs.append("rho: must be positive")
     if cfg.snr_db is not None and not cfg.snr_db > -math.inf:

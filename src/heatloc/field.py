@@ -34,6 +34,11 @@ def _is_count(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+def _fits_array(n: int) -> bool:
+    """True when ``n`` float64 values fit one numpy array, whose size in bytes must fit an intp."""
+    return n <= np.iinfo(np.intp).max // 8
+
+
 def _is_real(v) -> bool:
     """True for an integer or float value, numpy scalars included, but not a bool."""
     return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)

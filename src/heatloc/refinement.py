@@ -9,7 +9,7 @@ certificate has near-unit modulus, inserts new candidates at half the local
 spacing around them, and adds the points where the certificate exceeds
 ``1 + _GAP_TOL`` off the grid (the exchange step of Flinth, de Gournay &
 Weiss 2021).  The grid only grows, with old points first, so each round
-appends the new points' columns to the last round's dictionary, and a LASSO
+appends the new points' columns to the last round's dictionary, and each
 round's path starts from the last round's solution.  After the loop
 the final round's primal coefficients are condensed into source positions,
 in 1D and 2D alike: atoms closer than one kernel width are chained and each
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators
-from .field import SparseMeasure, _is_count, _is_real, tensor_points
+from .field import SparseMeasure, _fits_array, _is_count, _is_real, tensor_points
 from .operators import DictionaryMatrix, DualCertificate, MeasurementOperator, build_dictionary
 from .solvers import SolveOutcome, SolverConfig, solve_l1_equality, solve_lasso
 
@@ -302,6 +302,8 @@ class RefinementConfig:
             raise ValueError("initial_points_per_dim and max_rounds must be integers")
         if self.initial_points_per_dim < 1 or self.max_rounds < 1:
             raise ValueError("initial_points_per_dim and max_rounds must be >= 1")
+        if not _fits_array(self.initial_points_per_dim**self.lo.size):
+            raise ValueError("initial_points_per_dim: more grid points than one array can hold")
         lam = self.lasso_lambda
         if lam is not None and not (_is_real(lam) and lam > 0):
             raise ValueError(f"lasso_lambda must be a positive number or None, got {lam!r}")
@@ -358,8 +360,9 @@ def run_refinement(op: MeasurementOperator, b, cfg: RefinementConfig) -> Recover
     ``max |nu| - 1`` is at most ``_GAP_TOL`` (the same rule for both), when
     the round budget is exhausted, or when no grid point clears the selection
     threshold and no off-grid point exceeds ``1 + _GAP_TOL``.
-    Each LASSO round warm-starts the path from the previous round's primal;
-    the equality solve always starts from zero (see :mod:`heatloc.solvers`).
+    Each round after the first warm-starts its path, LASSO and equality
+    solve alike, from the previous round's primal padded with zeros (see
+    :mod:`heatloc.solvers`).
     """
     b = np.asarray(b, dtype=float)
     if b.shape != (op.d,):
@@ -380,17 +383,15 @@ def run_refinement(op: MeasurementOperator, b, cfg: RefinementConfig) -> Recover
         if grid.size > A.shape[1]:
             new = build_dictionary(op, grid.points[A.shape[1]:])
             A = DictionaryMatrix(np.hstack([A.entries, new.entries]), grid.points)
+        # resume from the last round's solution, the new points at zero
+        start = None if outcome is None else np.pad(outcome.primal, (0, grid.size - outcome.primal.size))
         if lam is not None:
-            # resume from the last round's solution, the new points at zero
-            start = None
-            if outcome is not None:
-                start = np.pad(outcome.primal, (0, grid.size - outcome.primal.size))
             outcome = solve_lasso(A, b, lam, scfg, start=start)
             # per-unit-penalty dual value: comparable across rounds on the
             # same O(1) scale as the equality dual objective
             dual_obj = outcome.dual_objective / lam
         else:
-            outcome = solve_l1_equality(A, b, scfg)
+            outcome = solve_l1_equality(A, b, scfg, start=start)
             dual_obj = outcome.dual_objective
 
         certificate = DualCertificate(op, outcome.dual)

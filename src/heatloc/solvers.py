@@ -19,17 +19,19 @@ in general position is at most the number of rows of A).
   used by the certificate lab's noisy check: the same path stopped where
   |x|_1 reaches rho.
 
-The LASSO solve can also start from a nearby solution, such as the previous
-refinement round's primal padded with zeros, and follow a fading linear
-perturbation from it to the solution at lam (warm-started l1 homotopy):
-about one step per support change instead of one per breakpoint below
-max|A^T b|.  The equality and l1-ball solves always start from zero.  They
-run the path down to a tiny penalty (1e-6 * max|A^T b|) or far along it
-toward one, where a warm path crowds the active set up to the number of
-rows.  On the noiseless 1D configs (seeds 1-5, 16 rows), warm starts at the
-equality penalty saved only about 52 -> 37 steps per solve; 3 of 45 hit the
-rank guard of :func:`_warm_path`, and without the guard one grew past 16
-columns and cycled until its step cap.
+The LASSO and equality solves can also start from a nearby solution, such
+as the previous refinement round's primal padded with zeros, and follow a
+fading linear perturbation from it to the solution at lam (warm-started l1
+homotopy, :func:`_warm_path`): about one step per support change instead
+of one per breakpoint below max|A^T b|.  When the warm path stops early (at
+its step cap, or at the rank guard that keeps its active set within the
+rows of A) or its end fails the KKT test, the cold path runs from zero.  On
+the two noiseless 1D instances of perfbench (16 rows) warm rounds cut a
+refinement run's path steps from 404 to 290 and from 562 to 423; a single
+warm path can still run longer than the cold one.  The l1-ball solve
+always starts from zero.  Each path sets numpy's error state once: its
+breakpoint search divides by every rate and masks the quotients of rates
+that do not approach.
 
 Outcomes carry the primal, the dual vector in the convention above, and
 KKT residuals including a duality gap evaluated at a feasibility-rescaled
@@ -56,6 +58,7 @@ __all__ = [
 _SUPPORT_EPS = 1e-6  # relative threshold defining the support for sign alignment
 _TIE_EPS = 1e-12  # homotopy steps below this fraction of the penalty count as ties
 _EQUALITY_PENALTY = 1e-6  # equality solves stop the path at this fraction of max|A^T b|
+_SIDES = np.array([[1.0], [-1.0]])  # the +bound and -bound rows of a breakpoint search
 
 
 @dataclass(frozen=True)
@@ -120,33 +123,41 @@ def _next_breakpoint(q, dq, bound, dbound, active, signs, x_act, w, step, banned
 
     Per unit step the correlations ``q`` move at ``dq``, their bound at
     ``dbound``, and the active coefficients ``x_act`` at ``w``; ``signs``
-    are the signs of the active correlations.  An inactive column joins when
-    |q_j| reaches the bound; only bounds it approaches count, and one that
-    rounding already put past the bound joins at once.  The column
-    ``banned`` (one that just left) may not re-enter within ``tie``.  An
-    active coefficient leaves when it reaches zero moving against its sign;
-    one that rounding left on the wrong side leaves at once.  ``step`` is
-    the longest step allowed; ``join`` (an index into q) and ``leave`` (a
-    position in ``active``) are -1 unless their event comes first.
+    are the signs of the active correlations and ``active`` (an intp array)
+    their columns.  An inactive column joins when |q_j| reaches the bound;
+    only bounds it approaches count, and one that rounding already put past
+    the bound joins at once.  The column ``banned`` (one that just left) may
+    not re-enter within ``tie``.  An active coefficient leaves when it
+    reaches zero moving against its sign; one that rounding left on the
+    wrong side leaves at once.  ``step`` is the longest step allowed;
+    ``join`` (an index into q) and ``leave`` (a position in ``active``) are
+    -1 unless their event comes first.  Quotients by a rate that does not
+    approach are overwritten with inf, so the caller holds
+    ``np.errstate(divide="ignore", invalid="ignore")``.
     """
     join, leave = -1, -1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        up, down = dq - dbound, -dq - dbound  # rates of approach to +bound and -bound
-        upper = np.where(up > 0.0, np.maximum(bound - q, 0.0) / up, np.inf)
-        lower = np.where(down > 0.0, np.maximum(bound + q, 0.0) / down, np.inf)
-    cands = np.minimum(upper, lower)
+    rate = _SIDES * dq
+    rate -= dbound  # rows: rates of approach to +bound and to -bound
+    cands = _SIDES * q
+    np.subtract(bound, cands, out=cands)
+    np.maximum(cands, 0.0, out=cands)
+    cands /= rate
+    cands[~(rate > 0.0)] = np.inf
+    cands = np.minimum(cands[0], cands[1])
     cands[active] = np.inf
     if banned >= 0 and cands[banned] <= tie:
         cands[banned] = np.inf
-    j = int(np.argmin(cands))
+    j = int(cands.argmin())
     if cands[j] < step:
         step, join = float(cands[j]), j
-    rate = signs * w
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cross = np.where(rate < 0.0, np.maximum(signs * x_act, 0.0) / -rate, np.inf)
-    if cross.size and np.min(cross) < step:
-        leave = int(np.argmin(cross))
-        step, join = float(cross[leave]), -1
+    fall = -signs * w  # rate at which each active coefficient moves toward zero
+    cross = np.maximum(signs * x_act, 0.0)
+    cross /= fall
+    cross[~(fall > 0.0)] = np.inf
+    if cross.size:
+        i = int(cross.argmin())
+        if cross[i] < step:
+            step, join, leave = float(cross[i]), -1, i
     return step, join, leave
 
 
@@ -180,29 +191,32 @@ def _lasso_path(mat: np.ndarray, b: np.ndarray, lam: float, radius: float, max_s
     if level > lam:
         active.append(int(np.argmax(np.abs(corr))))
     steps = 0
-    while level > lam and steps < max_steps:
-        steps += 1
-        sub = mat[:, active]
-        signs = np.sign(corr[active])
-        w = _gram_solve(sub, signs)
-        u = mat.T @ (sub @ w)  # rate of change of the correlations per unit step
-        step, join, leave = _next_breakpoint(
-            corr, -u, level, -1.0, active, signs, x[active], w, level - lam, banned,
-            _TIE_EPS * level,
-        )
-        l1, growth = float(signs @ x[active]), float(np.sum(signs * w))
-        if growth > 0.0 and l1 + step * growth >= radius:
-            x[active] += (radius - l1) / growth * w
-            return x, active, steps, True
-        x[active] += step * w
-        level = lam if join < 0 and leave < 0 else level - step
-        banned = -1
-        if leave >= 0:
-            banned = active.pop(leave)
-            x[banned] = 0.0
-        elif join >= 0:
-            active.append(join)
-        corr = mat.T @ (b - mat @ x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while level > lam and steps < max_steps:
+            steps += 1
+            act = np.array(active, dtype=np.intp)
+            sub = mat[:, act]
+            signs = np.sign(corr[act])
+            w = _gram_solve(sub, signs)
+            u = mat.T @ (sub @ w)  # rate of change of the correlations per unit step
+            x_act = x[act]
+            step, join, leave = _next_breakpoint(
+                corr, -u, level, -1.0, act, signs, x_act, w, level - lam, banned, _TIE_EPS * level
+            )
+            if radius < math.inf:
+                l1, growth = float(signs @ x_act), float(np.sum(signs * w))
+                if growth > 0.0 and l1 + step * growth >= radius:
+                    x[act] = x_act + (radius - l1) / growth * w
+                    return x, active, steps, True
+            x[act] = x_act + step * w
+            level = lam if join < 0 and leave < 0 else level - step
+            banned = -1
+            if leave >= 0:
+                banned = active.pop(leave)
+                x[banned] = 0.0
+            elif join >= 0:
+                active.append(join)
+            corr = mat.T @ (b - mat @ x)
     return x, active, steps, level <= lam
 
 
@@ -235,46 +249,60 @@ def _warm_path(mat: np.ndarray, b: np.ndarray, lam: float, start: np.ndarray, ma
     z[active] = np.sign(x[active])
     u = lam * z - c
     eps, steps, banned = 0.0, 0, -1
-    while eps < 1.0 and steps < max_steps:
-        steps += 1
-        q = mat.T @ (b - mat @ x) + (1.0 - eps) * u
-        sub = mat[:, active]
-        w = -_gram_solve(sub, u[active])
-        dq = -(mat.T @ (sub @ w)) - u
-        step, join, leave = _next_breakpoint(
-            q, dq, lam, 0.0, active, np.sign(q[active]), x[active], w, 1.0 - eps, banned, _TIE_EPS
-        )
-        x[active] += step * w
-        eps = 1.0 if join < 0 and leave < 0 else eps + step
-        banned = -1
-        if leave >= 0:
-            banned = active.pop(leave)
-            x[banned] = 0.0
-        elif join >= 0:
-            if len(active) == d:
-                return x, active, steps, False
-            active.append(join)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while eps < 1.0 and steps < max_steps:
+            steps += 1
+            act = np.array(active, dtype=np.intp)
+            q = mat.T @ (b - mat @ x) + (1.0 - eps) * u
+            sub = mat[:, act]
+            w = -_gram_solve(sub, u[act])
+            dq = -(mat.T @ (sub @ w)) - u
+            x_act = x[act]
+            step, join, leave = _next_breakpoint(
+                q, dq, lam, 0.0, act, np.sign(q[act]), x_act, w, 1.0 - eps, banned, _TIE_EPS
+            )
+            x[act] = x_act + step * w
+            eps = 1.0 if join < 0 and leave < 0 else eps + step
+            banned = -1
+            if leave >= 0:
+                banned = active.pop(leave)
+                x[banned] = 0.0
+            elif join >= 0:
+                if len(active) == d:
+                    return x, active, steps, False
+                active.append(join)
     return x, active, steps, eps >= 1.0
 
 
-def _lasso_point(mat: np.ndarray, b: np.ndarray, lam: float, max_steps: int, start=None):
-    """LASSO solution at penalty ``lam``: ``(x, active, steps, reached)``.
+def _lasso_point(mat: np.ndarray, b: np.ndarray, lam: float, cfg: SolverConfig, start=None):
+    """LASSO solution at penalty ``lam``: ``(x, active, steps, converged, kkt)``.
 
-    The path starts from zero, or from ``start`` when one is given (see
-    :func:`_warm_path`).  When it reaches ``lam``, the stationarity system
-    of the last segment is re-solved there to clear the rounding the path
-    updates accumulated.
+    The path runs from ``start`` when one is given (see :func:`_warm_path`),
+    and from zero (see :func:`_lasso_path`) when none is given or that path
+    stops early or its end fails the KKT test; ``cfg.max_iters`` caps the
+    steps of each path and ``steps`` counts both.  Where a path reaches
+    ``lam``, the stationarity system of the last segment is re-solved there
+    to clear the rounding the path updates accumulated.  ``kkt`` is the
+    tuple of :func:`_lasso_kkt` at ``x``.
     """
-    if start is None:
-        x, active, steps, reached = _lasso_path(mat, b, lam, math.inf, max_steps)
-    else:
-        x, active, steps, reached = _warm_path(mat, b, lam, start, max_steps)
-    if reached and active:
-        sub = mat[:, active]
-        xs = _gram_solve(sub, sub.T @ b - lam * np.sign(x[active]))
-        if np.all(np.sign(xs) == np.sign(x[active])):
-            x[active] = xs
-    return x, active, steps, reached
+    if start is not None and np.shape(start) != (mat.shape[1],):
+        raise ValueError(f"start has shape {np.shape(start)}, expected ({mat.shape[1]},)")
+    steps = 0
+    for origin in (None,) if start is None else (start, None):
+        if origin is None:
+            x, active, n, reached = _lasso_path(mat, b, lam, math.inf, cfg.max_iters)
+        else:
+            x, active, n, reached = _warm_path(mat, b, lam, origin, cfg.max_iters)
+        steps += n
+        if reached and active:
+            sub = mat[:, active]
+            xs = _gram_solve(sub, sub.T @ b - lam * np.sign(x[active]))
+            if np.all(np.sign(xs) == np.sign(x[active])):
+                x[active] = xs
+        kkt = _lasso_kkt(mat, b, lam, x, cfg)
+        if reached and kkt[-1]:
+            break
+    return x, active, steps, reached and kkt[-1], kkt
 
 
 def _lasso_kkt(mat: np.ndarray, b: np.ndarray, lam: float, x: np.ndarray, cfg: SolverConfig):
@@ -316,31 +344,24 @@ def solve_lasso(A, b, lam: float, cfg: SolverConfig | None = None, start=None) -
     mat = _entries(A)
     b = np.asarray(b, dtype=float)
 
-    steps, reached, ok = 0, False, False
-    if start is not None:
-        start = np.asarray(start, dtype=float)
-        if start.shape != (mat.shape[1],):
-            raise ValueError(f"start has shape {start.shape}, expected ({mat.shape[1]},)")
-        x, _, steps, reached = _lasso_point(mat, b, lam, cfg.max_iters, start)
-        p, atp, inf_norm, obj, dual_obj, ok = _lasso_kkt(mat, b, lam, x, cfg)
-    if not (reached and ok):
-        x, _, cold, reached = _lasso_point(mat, b, lam, cfg.max_iters)
-        p, atp, inf_norm, obj, dual_obj, ok = _lasso_kkt(mat, b, lam, x, cfg)
-        steps += cold
+    x, _, steps, converged, (p, atp, inf_norm, obj, dual_obj, _) = _lasso_point(mat, b, lam, cfg, start)
     feas = float(np.linalg.norm(b - mat @ x - lam * p))  # definitional residual
     kkt = KktResiduals(
         feas, max(0.0, inf_norm - 1.0), _support_alignment(x, atp), abs(obj - dual_obj)
     )
     return SolveOutcome(
-        x, p, kkt, iterations=steps, converged=reached and ok, objective=obj, dual_objective=dual_obj
+        x, p, kkt, iterations=steps, converged=converged, objective=obj, dual_objective=dual_obj
     )
 
 
-def solve_l1_equality(A, b, cfg: SolverConfig | None = None) -> SolveOutcome:
+def solve_l1_equality(A, b, cfg: SolverConfig | None = None, start=None) -> SolveOutcome:
     """Minimum-l1 solution of A x = b together with a dual certificate vector.
 
     The LASSO path is followed down to the scale-free penalty
-    ``lam = 1e-6 * max|A^T b|``; ``cfg.max_iters`` caps its steps.  The dual
+    ``lam = 1e-6 * max|A^T b|``, from zero or, given a ``start`` x0 such as
+    the previous refinement round's primal padded with zeros, from x0 with
+    the cold path as fallback (as in :func:`solve_lasso`); ``cfg.max_iters``
+    caps the steps of each path and ``iterations`` counts both.  The dual
     is the LASSO dual p = (b - A x_lam)/lam, which satisfies
     |A^T p|_inf <= 1 up to rounding and approaches the minimal-norm
     certificate as lam shrinks.  When the path's support S interpolates b,
@@ -348,7 +369,7 @@ def solve_l1_equality(A, b, cfg: SolverConfig | None = None) -> SolveOutcome:
     the signs of x_lam, then p certifies z and the primal is z, the
     minimum-l1 interpolant; otherwise the primal is x_lam.
 
-    ``converged`` means the path reached lam within the step cap and the
+    ``converged`` means a path reached lam within the step cap and the
     LASSO KKT conditions hold there.  The residuals describe the equality
     problem at the returned pair: feasibility |A x - b|, the dual bound
     excess max|A^T p| - 1, sign alignment on the support, and the gap
@@ -368,9 +389,7 @@ def solve_l1_equality(A, b, cfg: SolverConfig | None = None) -> SolveOutcome:
         converged = float(np.linalg.norm(b)) <= cfg.tol_primal * bscale
     else:
         lam = _EQUALITY_PENALTY * level
-        x, active, steps, reached = _lasso_point(mat, b, lam, cfg.max_iters)
-        p, atp, inf_norm, _, _, ok = _lasso_kkt(mat, b, lam, x, cfg)
-        converged = reached and ok
+        x, active, steps, converged, (p, atp, inf_norm, _, _, _) = _lasso_point(mat, b, lam, cfg, start)
         if active:
             # |z|_1 - <b, p> is twice the mass z puts against the path's
             # signs (entries the path keeps at O(lam) may interpolate to 0)

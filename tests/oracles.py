@@ -88,6 +88,45 @@ def lasso_coordinate_descent(
     return np.array(x)
 
 
+def next_breakpoint_where(q, dq, bound, dbound, active, signs, x_act, w, step, banned, tie):
+    """Next breakpoint of an active-set path: ``(step, join, leave)``.
+
+    ``solvers._next_breakpoint`` as first written, with ``np.where``
+    temporaries and an ``np.errstate`` of its own per call; the faster
+    kernel must return the same events.
+
+    Per unit step the correlations ``q`` move at ``dq``, their bound at
+    ``dbound``, and the active coefficients ``x_act`` at ``w``; ``signs``
+    are the signs of the active correlations.  An inactive column joins when
+    |q_j| reaches the bound; only bounds it approaches count, and one that
+    rounding already put past the bound joins at once.  The column
+    ``banned`` (one that just left) may not re-enter within ``tie``.  An
+    active coefficient leaves when it reaches zero moving against its sign;
+    one that rounding left on the wrong side leaves at once.  ``step`` is
+    the longest step allowed; ``join`` (an index into q) and ``leave`` (a
+    position in ``active``) are -1 unless their event comes first.
+    """
+    join, leave = -1, -1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        up, down = dq - dbound, -dq - dbound  # rates of approach to +bound and -bound
+        upper = np.where(up > 0.0, np.maximum(bound - q, 0.0) / up, np.inf)
+        lower = np.where(down > 0.0, np.maximum(bound + q, 0.0) / down, np.inf)
+    cands = np.minimum(upper, lower)
+    cands[active] = np.inf
+    if banned >= 0 and cands[banned] <= tie:
+        cands[banned] = np.inf
+    j = int(np.argmin(cands))
+    if cands[j] < step:
+        step, join = float(cands[j]), j
+    rate = signs * w
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = np.where(rate < 0.0, np.maximum(signs * x_act, 0.0) / -rate, np.inf)
+    if cross.size and np.min(cross) < step:
+        leave = int(np.argmin(cross))
+        step, join = float(cross[leave]), -1
+    return step, join, leave
+
+
 def lasso_objective(A, b, lam, x) -> float:
     r = A @ x - b
     return 0.5 * float(r @ r) + lam * float(np.sum(np.abs(x)))

@@ -183,6 +183,10 @@ class TestCli:
             ({"snr_db": 30.0, "refinement": {"lasso_lambda": HUGE}}, None),
             ({"refinement": {"solver": {"tol_primal": HUGE}}}, None),
             ({"refinement": {"initial_points_per_dim": HUGE}}, None),
+            ({"n_sensors": 10**20}, None),
+            ({"n_times": 10**20}, None),
+            ({"refinement": {"initial_points_per_dim": 10**20}}, None),
+            ({"n_sensors": 10**17}, None),
             ({"source_mode": "off_grid", "min_separation": "a"}, None),
             ({"source_mode": "off_grid", "min_separation": math.nan}, None),
             ({"source_mode": "off_grid", "min_separation": -1.0}, None),
@@ -204,6 +208,8 @@ class TestCli:
             "huge_int_rho", "huge_int_snr_db", "huge_int_min_separation", "huge_int_domain_hi",
             "huge_int_amplitude", "huge_int_position", "huge_int_sensor_count", "huge_int_time_count",
             "huge_int_lasso_lambda", "huge_int_solver_tol", "huge_int_initial_points",
+            "unaddressable_sensor_count", "unaddressable_time_count", "unaddressable_initial_points",
+            "unallocatable_sensor_count",
             "string_min_separation", "nan_min_separation", "negative_min_separation",
         ],
     )

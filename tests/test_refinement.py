@@ -30,7 +30,7 @@ from heatloc.refinement import (
     select_peaks_2d,
 )
 
-from heatloc.solvers import solve_lasso
+from heatloc.solvers import solve_l1_equality, solve_lasso
 
 from oracles import (
     min_l1_equality_lp,
@@ -353,8 +353,6 @@ class TestRunRefinement:
         # and in particular its near-1 region do not move when b is scaled;
         # that region is where the minimal-norm certificate touches 1, which
         # here is wider than the support {7, 23, 41}
-        from heatloc.solvers import solve_l1_equality
-
         rng = np.random.default_rng(11)
         A = rng.standard_normal((12, 60))
         x0 = np.zeros(60)
@@ -438,12 +436,16 @@ def record_solves(monkeypatch, attr: str) -> list:
 
 
 SHIPPED_NOISY = [("noisy_1d_40db.json", "noisy_1d_40db"), ("sweep_2d_snr.json", "snr30db")]
+SHIPPED_NOISELESS = [
+    ("noiseless_1d_on_grid.json", "noiseless_1d_on_grid"),
+    ("noiseless_1d_off_grid.json", "noiseless_1d_off_grid"),
+]
 
 
 class TestWarmStartedRounds:
-    """Appending columns and resuming the LASSO path change no round's outcome."""
+    """Appending columns and resuming the path change no round's outcome."""
 
-    @pytest.mark.parametrize("file,name", SHIPPED_NOISY)
+    @pytest.mark.parametrize("file,name", SHIPPED_NOISY + SHIPPED_NOISELESS)
     def test_matches_cold_loop(self, file, name):
         op, b, rcfg = scenario_inputs(shipped_scenario(file, name))
         res = run_refinement(op, b, rcfg)
@@ -473,6 +475,17 @@ class TestWarmStartedRounds:
             np.testing.assert_array_equal(A.points[: prev.shape[0]], prev)
             prev = A.points
         np.testing.assert_array_equal(res.nu, A.entries.T @ res.last_outcome.dual)
+
+    @pytest.mark.parametrize("file,name", SHIPPED_NOISELESS)
+    def test_equality_rounds_resume_from_last_primal(self, monkeypatch, file, name):
+        op, b, rcfg = scenario_inputs(shipped_scenario(file, name))
+        calls = record_solves(monkeypatch, "solve_l1_equality")
+        res = run_refinement(op, b, rcfg)
+        starts = [kwargs["start"] for _, kwargs in calls]
+        assert starts[0] is None and len(starts) == res.rounds > 1
+        for (args, kwargs), start, dg in zip(calls[:-1], starts[1:], res.per_round[1:]):
+            primal = solve_l1_equality(*args, **kwargs).primal
+            np.testing.assert_array_equal(start, np.pad(primal, (0, dg.grid_size - primal.size)))
 
     def test_round_three_starts_inside_the_bound(self, monkeypatch):
         """8 sensors at 30 dB, round 3: the warm path beats the cold one.

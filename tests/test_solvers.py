@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from heatloc import solvers
 from heatloc.operators import MeasurementOperator, SampleSet, build_dictionary
 from heatloc.solvers import SolverConfig, solve_l1_equality, solve_lasso
 
-from oracles import lasso_coordinate_descent, lasso_objective, min_l1_equality_lp
+from oracles import lasso_coordinate_descent, lasso_objective, min_l1_equality_lp, next_breakpoint_where
 
 
 class TestL1Equality:
@@ -248,6 +249,163 @@ class TestWarmStart:
     def test_start_shape_checked(self):
         with pytest.raises(ValueError):
             solve_lasso(np.eye(3), np.ones(3), 0.5, start=np.zeros(2))
+
+
+class TestL1EqualityWarmStart:
+    """``solve_l1_equality(..., start=x0)`` reaches the cold path's solution."""
+
+    @staticmethod
+    def instance(seed: int):
+        rng = np.random.default_rng(400 + seed)
+        A = rng.standard_normal((10, 30))
+        x0 = np.zeros(30)
+        x0[rng.choice(30, 3, replace=False)] = rng.standard_normal(3)
+        return A, A @ x0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_lp_from_nearby_starts(self, seed):
+        A, b = self.instance(seed)
+        cold = solve_l1_equality(A, b)
+        xlp = min_l1_equality_lp(A, b)
+        # a coarser dictionary's solution padded with zeros, and the cold solution
+        coarse = np.arange(0, A.shape[1], 2)
+        padded = np.zeros(A.shape[1])
+        padded[coarse] = solve_l1_equality(A[:, coarse], b).primal
+        for start in (padded, cold.primal):
+            warm = solve_l1_equality(A, b, start=start)
+            assert cold.converged and warm.converged
+            assert np.max(np.abs(warm.primal - xlp)) < 1e-6
+            assert np.max(np.abs(A.T @ warm.dual)) <= 1.0 + 1e-9
+        # the LASSO point at the equality penalty is one step from the end
+        lam = 1e-6 * np.max(np.abs(A.T @ b))
+        assert solve_l1_equality(A, b, start=solve_lasso(A, b, lam).primal).iterations == 1
+
+    def test_start_with_more_than_d_nonzeros_falls_back(self):
+        A, b = self.instance(0)
+        cold = solve_l1_equality(A, b)
+        warm = solve_l1_equality(A, b, start=np.ones(A.shape[1]))
+        assert warm.converged
+        np.testing.assert_array_equal(warm.primal, cold.primal)
+        assert warm.iterations == cold.iterations  # the warm path took no step
+
+    def test_start_shape_checked(self):
+        with pytest.raises(ValueError):
+            solve_l1_equality(np.eye(3), np.ones(3), start=np.zeros(2))
+
+
+def _near_tie_instance(seed: int, P: int = 300):
+    """Heat-kernel columns packed within 2e-3 of three centres, 16 sensors."""
+    rng = np.random.default_rng(500 + seed)
+    op = MeasurementOperator(SampleSet.grid([np.arange(16) * (2 * np.pi / 16)], [0.25]))
+    centres = np.array([1.2, 3.0, 4.9])
+    points = np.sort(np.repeat(centres, P // 3) + rng.uniform(-2e-3, 2e-3, P))
+    A = build_dictionary(op, points).entries
+    return A, A[:, rng.choice(P, 3, replace=False)] @ rng.uniform(0.5, 1.5, 3)
+
+
+class TestPathKernel:
+    """The path kernel finds the events of its first version and leaves numpy's error state as it was."""
+
+    @staticmethod
+    def compare_kernels(monkeypatch) -> list:
+        """Make every path step check the kernel against the oracle; returns the events seen."""
+        events = []
+        real = solvers._next_breakpoint
+
+        def both(*args):
+            expected = next_breakpoint_where(*args)
+            got = real(*args)
+            assert got == expected
+            events.append(got)
+            return got
+
+        monkeypatch.setattr(solvers, "_next_breakpoint", both)
+        return events
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_events_on_random_instances(self, monkeypatch, seed):
+        events = self.compare_kernels(monkeypatch)
+        rng = np.random.default_rng(600 + seed)
+        A, b, lam = _kernel_instance(seed)
+        start = np.zeros(A.shape[1])
+        start[rng.choice(A.shape[1], 4, replace=False)] = rng.standard_normal(4)
+        solve_lasso(A, b, lam)
+        solve_lasso(A, b, lam, start=start)
+        G = rng.standard_normal((16, 64))
+        solve_l1_equality(G, G[:, :3] @ [1.0, -2.0, 0.5])
+        solvers._lasso_path(G, rng.standard_normal(16), 0.0, 1.5, 1000)  # an l1-ball path
+        assert {join >= 0 for _, join, _ in events} == {True, False}
+        assert any(leave >= 0 for _, _, leave in events)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_events_on_near_ties(self, monkeypatch, seed):
+        events = self.compare_kernels(monkeypatch)
+        A, b = _near_tie_instance(seed)
+        level = float(np.max(np.abs(A.T @ b)))
+        cap = SolverConfig(max_iters=1000)
+        for lam in (1e-4 * level, 1e-6 * level):
+            solve_lasso(A, b, lam, cap)
+        solve_l1_equality(A, b, cap)
+        assert len(events) > 100
+
+    def test_same_events_on_drawn_arguments(self):
+        # exact zero rates, bounds already crossed, coefficients on the wrong side
+        rng = np.random.default_rng(7)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(200):
+                P, k = 40, 6
+                q = rng.uniform(-1.2, 1.2, P)
+                dbound = float(rng.choice([0.0, -1.0]))
+                dq = rng.standard_normal(P)
+                dq[rng.choice(P, 5)] = dbound
+                dq[rng.choice(P, 5)] = -dbound
+                active = rng.choice(P, k, replace=False).astype(np.intp)
+                signs = rng.choice([-1.0, 1.0], k)
+                x_act = rng.standard_normal(k)
+                w = rng.standard_normal(k)
+                w[rng.choice(k, 2)] = 0.0
+                banned = int(rng.integers(-1, P))
+                args = (q, dq, 1.0, dbound, active, signs, x_act, w, float(rng.uniform(0.1, 2.0)), banned, 1e-12)
+                assert solvers._next_breakpoint(*args) == next_breakpoint_where(*args)
+
+    @staticmethod
+    def solve_all():
+        A, b, lam = _kernel_instance(1)
+        solve_lasso(A, b, lam)
+        solve_lasso(A, b, lam, start=solve_lasso(A[:, ::2], b, lam).primal.repeat(2))
+        solve_l1_equality(A, A[:, [10, 50]] @ [1.0, 0.5])
+        solvers._lasso_path(A, b, 0.0, 1.0, 1000)  # an l1-ball path
+
+    @pytest.mark.parametrize("state", [{}, {"divide": "raise", "invalid": "raise", "over": "print"}])
+    def test_error_state_restored(self, state):
+        with np.errstate(**state):
+            before = np.geterr()
+            self.solve_all()
+            assert np.geterr() == before
+
+    def test_error_state_restored_when_a_solve_raises(self, monkeypatch):
+        real = solvers._gram_solve
+        calls = []
+
+        def failing(sub, rhs):
+            calls.append(1)
+            if len(calls) % 3 == 0:
+                raise RuntimeError("injected")
+            return real(sub, rhs)
+
+        monkeypatch.setattr(solvers, "_gram_solve", failing)
+        before = np.geterr()
+        A, b, lam = _kernel_instance(1)
+        for solve in (
+            lambda: solve_lasso(A, b, lam),
+            lambda: solve_lasso(A, b, lam, start=np.eye(A.shape[1])[3]),
+            lambda: solve_l1_equality(A, b),
+            lambda: solvers._lasso_path(A, b, 0.0, 1.0, 1000),
+        ):
+            calls.clear()
+            with pytest.raises(RuntimeError, match="injected"):
+                solve()
+            assert np.geterr() == before
 
 
 class TestSolverConfig:
