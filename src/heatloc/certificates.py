@@ -12,9 +12,13 @@ so the weights, the certificate and its meshes are real too.
 With such a certificate in hand, the three soft-recovery conditions (anchor
 value at least 1, point bound sigma, off-support bound 1 - tau) are checked
 on a dense evaluation mesh, and the resulting localization radii for the
-noiseless and noisy programs are evaluated.  The noisy conclusion is also
-checked on a finite grid, by solving the TV-ball program
-min |A x - b| s.t. |x|_1 <= rho exactly as a point of the LASSO path.
+noiseless and noisy programs are evaluated.  Both sup-norms on the mesh, the
+construction's error and the off-support bound, are taken a block of mesh
+rows at a time (``DualCertificate.mesh_blocks``), so no array the size of
+the mesh is built: a 2D certificate and its check at 1024**2 points peak at
+about 3.5 MiB of numpy memory.  The noisy conclusion is also checked on a
+finite grid, by solving the TV-ball program min |A x - b| s.t. |x|_1 <= rho
+exactly as a point of the LASSO path.
 """
 
 from __future__ import annotations
@@ -50,6 +54,34 @@ __all__ = [
 ]
 
 
+def _is_finite(v) -> bool:
+    """True for a real number, not a bool, that is finite as a float."""
+    try:
+        return _is_real(v) and math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _check_width(lam) -> None:
+    if not (_is_finite(lam) and lam > 0):
+        raise ValueError(f"width parameter lam must be a positive finite number, got {lam!r}")
+
+
+def _check_mesh_points(mesh_points) -> None:
+    if not (_is_count(mesh_points) and mesh_points >= 2):
+        raise ValueError(f"mesh_points must be an integer >= 2, got {mesh_points!r}")
+
+
+def _check_noise(eps, rho) -> None:
+    """eps and rho are finite numbers, the noise level eps >= 0 and the TV budget rho >= 1."""
+    if not (_is_finite(eps) and _is_finite(rho)):
+        raise ValueError(f"eps and rho must be finite numbers, got {eps!r} and {rho!r}")
+    if rho < 1.0:
+        raise ValueError("rho must be >= 1")
+    if eps < 0.0:
+        raise ValueError("eps must be >= 0")
+
+
 @dataclass(frozen=True)
 class CertConfig:
     """Certificate construction parameters.
@@ -66,14 +98,12 @@ class CertConfig:
     mesh_points: int = 2048
 
     def __post_init__(self) -> None:
-        if not all(map(_is_count, (self.m, self.p_jackson, self.dim, self.mesh_points))):
-            raise ValueError("m, p_jackson, dim and mesh_points must be integers")
-        if not (_is_real(self.lam) and 0 < self.lam < math.inf):
-            raise ValueError("width parameter lam must be a positive finite number")
+        if not all(map(_is_count, (self.m, self.p_jackson, self.dim))):
+            raise ValueError("m, p_jackson and dim must be integers")
+        _check_mesh_points(self.mesh_points)
+        _check_width(self.lam)
         if self.m < 1 or self.p_jackson < 1:
             raise ValueError("m and p_jackson must be positive")
-        if self.mesh_points < 2:
-            raise ValueError("mesh_points must be >= 2")
         if self.dim not in (1, 2):
             raise ValueError("dim must be 1 or 2")
 
@@ -190,12 +220,20 @@ def _bump(r2, lam: float):
     return np.exp(-r2 / (4.0 * lam))
 
 
-def _bump_mesh(axes, p0: np.ndarray, lam: float) -> np.ndarray:
-    """The bump centred at ``p0`` on a tensor mesh, as a product of per-axis factors."""
-    factors = [_bump((ax - c) ** 2, lam) for ax, c in zip(axes, p0)]
-    if len(factors) == 1:
-        return factors[0]
-    return np.outer(factors[0], factors[1])
+def _sup_bump_error(g: DualCertificate, axes, p0: np.ndarray, lam: float, c: float) -> float:
+    """max |g - c * bump(x - p0)| over the tensor mesh of ``axes``.
+
+    The bump is a product of per-axis factors, built once; the sup is taken
+    over :meth:`DualCertificate.mesh_blocks`, so no array the size of the
+    mesh is built.
+    """
+    factors = [_bump((ax - x) ** 2, lam) for ax, x in zip(axes, p0)]
+    sups = []
+    for rows, vals in g.mesh_blocks(axes):
+        bump = factors[0][rows] if len(factors) == 1 else np.outer(factors[0][rows], factors[1])
+        vals -= c * bump
+        sups.append(np.max(np.abs(vals, out=vals)))
+    return float(np.max(sups))
 
 
 def build_certificate_g(cfg: CertConfig, p0, scale: float = 1.0) -> CertificateApproximation:
@@ -233,9 +271,7 @@ def build_certificate_g(cfg: CertConfig, p0, scale: float = 1.0) -> CertificateA
     amp = lam1 * peak + abs(scale)
     pad = math.sqrt(4.0 * cfg.lam * math.log(max(amp, 1.0) * 1e13 / max(abs(scale), 1e-300)))
     mesh = np.linspace(-1.0 - pad, 1.0 + pad, cfg.mesh_points)
-    g_mesh = cert.on_mesh((mesh,) * cfg.dim)
-    target = scale * _bump_mesh((mesh,) * cfg.dim, p0, cfg.lam)
-    sup_error = float(np.max(np.abs(g_mesh - target)))
+    sup_error = _sup_bump_error(cert, (mesh,) * cfg.dim, p0, cfg.lam, scale)
     tail = amp * float(_bump(pad * pad, cfg.lam))
     weight_norm = abs(scale) * coeffs.norm / peak
 
@@ -313,12 +349,9 @@ def verify_soft_conditions(
     when its level is not positive.
     """
     _check_measure(mu0, i0)
-    if lam <= 0:
-        raise ValueError("width parameter lam must be positive")
-    if rho < 1.0:
-        raise ValueError("rho must be >= 1")
-    if eps < 0.0:
-        raise ValueError("eps must be >= 0")
+    _check_width(lam)
+    _check_noise(eps, rho)
+    _check_mesh_points(mesh_points)
     p0 = mu0.positions[i0]
 
     at_atoms = np.atleast_1d(g(mu0.positions))
@@ -336,9 +369,7 @@ def verify_soft_conditions(
     tail = amp * float(_bump(pad * pad, lam))
 
     axes = [np.linspace(lo[j], hi[j], mesh_points) for j in range(mu0.dim)]
-    values = g.on_mesh(axes)
-    bump = _bump_mesh(axes, p0, lam)
-    sup_mesh = float(np.max(np.abs(values - g0 * bump)))
+    sup_mesh = _sup_bump_error(g, axes, p0, lam, g0)
 
     h = max(float(a[1] - a[0]) for a in axes)
     lip_bump = sigma * math.exp(-0.5) / math.sqrt(2.0 * lam)
@@ -381,8 +412,7 @@ def recovery_radius(tau: float, sigma: float, lam: float) -> float:
     """Localization radius sqrt(4*lam*log(sigma/tau)) guaranteed by a certificate."""
     if not 0.0 < tau <= sigma * (1.0 + 1e-12):
         raise ValueError(f"need 0 < tau <= sigma, got tau={tau}, sigma={sigma}")
-    if lam <= 0:
-        raise ValueError("width parameter lam must be positive")
+    _check_width(lam)
     return math.sqrt(4.0 * lam * math.log(max(sigma / tau, 1.0)))
 
 
@@ -395,10 +425,8 @@ def noisy_recovery_radius(
     tau/sigma - (2*|lambda|_2*eps + (rho - 1)) / (rho*sigma);
     the bound is vacuous (raises) when that level is not positive.
     """
-    if rho < 1.0:
-        raise ValueError("rho must be >= 1")
-    if eps < 0.0:
-        raise ValueError("eps must be >= 0")
+    _check_width(lam)
+    _check_noise(eps, rho)
     if not 0.0 < tau <= sigma * (1.0 + 1e-12):
         raise ValueError(f"need 0 < tau <= sigma, got tau={tau}, sigma={sigma}")
     level = tau / sigma - (2.0 * lambda_norm * eps + (rho - 1.0)) / (rho * sigma)
@@ -440,10 +468,8 @@ def verify_soft_stable_inequality(
     ``max_iters`` caps the path steps; returns None when the cap is hit
     before the path reaches the ball's boundary or its end.
     """
-    if lam <= 0:
-        raise ValueError("width parameter lam must be positive")
-    if rho < 1.0:
-        raise ValueError("rho must be >= 1")
+    _check_width(lam)
+    _check_noise(eps, rho)
     b = np.asarray(b, dtype=float)
     x, ok = _l1_ball_least_squares(A.entries, b, rho, max_iters=max_iters)
     if not ok:

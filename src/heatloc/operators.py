@@ -30,6 +30,10 @@ __all__ = [
     "rho_bounds",
 ]
 
+# Largest array a block of DualCertificate.mesh_blocks builds: 2**16 float64
+# values, 512 KiB, so a block stays in cache and a dense mesh is never whole.
+_MESH_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class SampleSet:
@@ -154,30 +158,55 @@ class DualCertificate:
         per_term = kernel_peak(ts, self.op.dim) * math.exp(-0.5) / np.sqrt(ts)
         return float(np.abs(self.weights) @ per_term)
 
-    def on_mesh(self, axes) -> np.ndarray:
-        """Values on a tensor evaluation mesh, one 1D coordinate array per axis.
+    def mesh_blocks(self, axes):
+        """Values on a tensor evaluation mesh, a block of rows of its first axis at a time.
 
-        Separable where the samples are a tensor grid at one time (``grid_axes``):
-        per-axis 1D kernel matrices, whose product is the dim-D kernel.  Point
-        by point otherwise, at most 2**22 kernel entries at a time.
+        Yields ``(rows, values)``: a slice of the first axis and the values on
+        those rows, shape ``(rows, n_2, ...)``, a fresh array the caller may
+        overwrite.  Separable where the samples are a tensor grid at one time
+        (``grid_axes``): the per-axis 1D kernel matrices F_j, whose product is
+        the dim-D kernel, are built once, and so is ``left = F_0^T W``; a block
+        is ``left[rows] @ F_1`` (``F_0[:, rows]^T @ w`` in 1D) and holds at
+        most ``_MESH_BLOCK`` values.  Point by point otherwise, where a
+        block's kernel matrix holds at most ``_MESH_BLOCK`` entries.  Either
+        way a block is one row at least.
         """
         axes = [np.asarray(a, dtype=float) for a in axes]
         if len(axes) != self.op.dim:
             raise ValueError("mesh must have one axis per dimension")
+        row_shape = tuple(a.size for a in axes[1:])
         grid_axes = self.op.samples.grid_axes
-        if grid_axes is None:
-            pts, step = tensor_points(axes), max(1, (1 << 22) // self.op.d)
-            vals = np.concatenate([self(pts[i : i + step]) for i in range(0, len(pts), step)])
-            return vals.reshape([a.size for a in axes])
-        t = float(self.op.samples.ts[0])
-        factors = [
-            kernel_matrix(ga.reshape(-1, 1), t, ax.reshape(-1, 1))
-            for ax, ga in zip(axes, grid_axes)
-        ]
-        if len(axes) == 1:
-            return factors[0].T @ self.weights
-        W = self.weights.reshape(grid_axes[0].size, grid_axes[1].size)
-        return factors[0].T @ W @ factors[1]
+        if grid_axes is not None:
+            t = float(self.op.samples.ts[0])
+            factors = [
+                kernel_matrix(ga.reshape(-1, 1), t, ax.reshape(-1, 1))
+                for ax, ga in zip(axes, grid_axes)
+            ]
+            if len(axes) == 1:
+                left, right = factors[0].T, self.weights
+            else:
+                W = self.weights.reshape(grid_axes[0].size, grid_axes[1].size)
+                left, right = factors[0].T @ W, factors[1]
+        # a block's largest array: its values, or point by point its kernel matrix
+        per_row = math.prod(row_shape) * (1 if grid_axes is not None else self.op.d)
+        step = max(1, _MESH_BLOCK // per_row)
+        for i in range(0, axes[0].size, step):
+            rows = slice(i, i + step)
+            if grid_axes is not None:
+                yield rows, left[rows] @ right
+            else:
+                pts = tensor_points([axes[0][rows], *axes[1:]])
+                yield rows, self(pts).reshape(-1, *row_shape)
+
+    def on_mesh(self, axes) -> np.ndarray:
+        """Values on a tensor evaluation mesh, one 1D coordinate array per axis.
+
+        All of :meth:`mesh_blocks`, concatenated, so the result is as large as
+        the mesh; a reduction over a dense mesh, such as the certificate lab's
+        sup-norms, takes it block by block instead.  A small mesh, such as
+        refinement's continuum-gap mesh, is one block.
+        """
+        return np.concatenate([vals for _, vals in self.mesh_blocks(axes)])
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ import math
 import numpy as np
 from scipy.optimize import least_squares, linprog, minimize
 
-from heatloc.field import SparseMeasure
+from heatloc.certificates import _bump
+from heatloc.field import SparseMeasure, kernel_matrix, tensor_points
 from heatloc.operators import DualCertificate, build_dictionary, measure
 from heatloc.refinement import (
     _GAP_TOL,
@@ -269,3 +270,33 @@ def wave_coeffs_quadrature(delta: float, p: int, n_nodes: int) -> np.ndarray:
     n = np.arange(-2 * p, 2 * p + 1)
     phase = np.exp(-1j * n[:, None] * theta[None, :])
     return (phase @ vals) / theta.size
+
+
+def on_mesh_whole(cert: DualCertificate, axes) -> np.ndarray:
+    """Certificate values on a tensor mesh, computed whole: the separable product
+    F_0^T W F_1 over the full mesh, or point by point in chunks of 2**22 kernel
+    entries.  The reference for ``DualCertificate.mesh_blocks``."""
+    axes = [np.asarray(a, dtype=float) for a in axes]
+    grid_axes = cert.op.samples.grid_axes
+    if grid_axes is None:
+        pts, step = tensor_points(axes), max(1, (1 << 22) // cert.op.d)
+        vals = np.concatenate([cert(pts[i : i + step]) for i in range(0, len(pts), step)])
+        return vals.reshape([a.size for a in axes])
+    t = float(cert.op.samples.ts[0])
+    factors = [
+        kernel_matrix(ga.reshape(-1, 1), t, ax.reshape(-1, 1))
+        for ax, ga in zip(axes, grid_axes)
+    ]
+    if len(axes) == 1:
+        return factors[0].T @ cert.weights
+    W = cert.weights.reshape(grid_axes[0].size, grid_axes[1].size)
+    return factors[0].T @ W @ factors[1]
+
+
+def sup_bump_error_whole(g: DualCertificate, axes, p0, lam: float, c: float) -> float:
+    """max |g - c * bump(x - p0)| over the tensor mesh of ``axes``, with the mesh
+    values (:func:`on_mesh_whole`) and the bump each built whole, the bump as
+    the outer product of its per-axis factors."""
+    factors = [_bump((ax - x) ** 2, lam) for ax, x in zip(axes, p0)]
+    outer = factors[0] if len(factors) == 1 else np.outer(factors[0], factors[1])
+    return float(np.max(np.abs(on_mesh_whole(g, axes) - c * outer)))

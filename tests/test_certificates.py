@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from heatloc.certificates import (
     CertConfig,
     _jackson_multiplier,
     _l1_ball_least_squares,
+    _sup_bump_error,
     build_certificate_g,
     calibrated_certificate,
     jackson_coefficients,
@@ -16,7 +18,7 @@ from heatloc.certificates import (
     verify_soft_conditions,
     verify_soft_stable_inequality,
 )
-from heatloc.field import SparseMeasure, add_noise, kernel_peak
+from heatloc.field import SparseMeasure, add_noise, kernel_peak, tensor_points
 from heatloc.operators import (
     DualCertificate,
     MeasurementOperator,
@@ -30,6 +32,8 @@ from oracles import (
     lasso_coordinate_descent,
     lasso_objective,
     min_l1_equality_lp,
+    on_mesh_whole,
+    sup_bump_error_whole,
     wave_coeffs_quadrature,
 )
 
@@ -243,6 +247,20 @@ class TestVerifySoftConditions:
         with pytest.raises(ValueError, match="rho"):
             verify_soft_conditions(approx.certificate, mu, 0, lam, rho=0.5, mesh_points=1024)
 
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"eps": math.nan}, {"eps": math.inf}, {"eps": "0.1"}, {"eps": 10**400},
+            {"rho": math.nan}, {"rho": math.inf}, {"rho": True}, {"rho": 10**400},
+            {"mesh_points": 1}, {"mesh_points": 0}, {"mesh_points": 2.5}, {"mesh_points": True},
+        ],
+    )
+    def test_bad_numbers_rejected(self, kw):
+        lam, mu, approx = self._two_source_certificate()
+        args = {"lam": lam, "mesh_points": 1024, **kw}
+        with pytest.raises(ValueError):
+            verify_soft_conditions(approx.certificate, mu, 0, **args)
+
     def test_noisy_bound_is_noisy_recovery_radius(self):
         lam, mu, approx = self._two_source_certificate()
         rep = verify_soft_conditions(
@@ -270,6 +288,85 @@ class TestVerifySoftConditions:
         # a finer mesh can only reveal a larger sup, but the margin accounts for it
         assert taus[512] <= taus[256] + reports[256].mesh_margin
         assert taus[1024] <= taus[512] + reports[512].mesh_margin
+
+
+def _assert_close_to_whole(g: DualCertificate, axes) -> None:
+    """Blocked mesh values equal the whole-mesh evaluation up to the reordered sums
+    of a matrix product over a block: at most d terms' rounding."""
+    whole = on_mesh_whole(g, axes)
+    atol = g.op.d * np.finfo(float).eps * float(np.max(np.abs(whole)))
+    np.testing.assert_allclose(g.on_mesh(axes), whole, rtol=0, atol=atol)
+
+
+class TestStreamedSupNorm:
+    """The sup-norms stream the mesh in row blocks and equal the whole-mesh expression."""
+
+    @staticmethod
+    def _certificate(dim):
+        p0 = np.array([0.21, -0.13])[:dim]
+        cfg = CertConfig(lam=1 / 64, m=16, p_jackson=4, dim=dim)
+        return build_certificate_g(cfg, p0, scale=1.3).certificate, p0, cfg.lam
+
+    @pytest.mark.parametrize("shape", [(2048,), (100_003,), (1024, 1024), (1000, 777)])
+    def test_tensor_samples_match_whole_mesh(self, shape):
+        # (100003,) and 1000 x 777 end in a partial block
+        g, p0, lam = self._certificate(len(shape))
+        axes = [np.linspace(-1.4, 1.3, n) for n in shape]
+        if math.prod(shape) > 1 << 16:
+            assert len(list(g.mesh_blocks(axes))) > 1
+        _assert_close_to_whole(g, axes)
+        corner = np.array([a[-1] for a in axes])  # puts the sup in the last block
+        for c, x in ((1.3, p0), (-0.7, p0), (5.0, corner)):
+            assert _sup_bump_error(g, axes, x, lam, c) == sup_bump_error_whole(g, axes, x, lam, c)
+
+    @pytest.mark.parametrize("layout", ["two_times_1d", "unsorted_1d", "unsorted_2d"])
+    def test_point_by_point_matches_whole_mesh(self, layout):
+        rng = np.random.default_rng(11)
+        ax = np.linspace(-1.0, 1.0, 9)
+        if layout == "two_times_1d":
+            samples, shape = SampleSet.grid([ax], [1 / 32, 1 / 16]), (20_000,)
+        elif layout == "unsorted_1d":
+            samples, shape = SampleSet(rng.permutation(ax).reshape(-1, 1), np.full(9, 1 / 32)), (20_000,)
+        else:
+            xs = rng.permutation(tensor_points([ax[::2], ax[1::2]]))
+            samples, shape = SampleSet(xs, np.full(len(xs), 1 / 32)), (300, 257)
+        assert samples.grid_axes is None
+        g = DualCertificate(MeasurementOperator(samples), rng.standard_normal(samples.d))
+        axes = [np.linspace(-1.4, 1.3, n) for n in shape]
+        assert len(list(g.mesh_blocks(axes))) > 1
+        _assert_close_to_whole(g, axes)
+        corner = np.array([a[-1] for a in axes])
+        for c, x in ((0.9, np.array([0.21, -0.13])[: samples.dim]), (5.0, corner)):
+            assert _sup_bump_error(g, axes, x, 1 / 64, c) == sup_bump_error_whole(g, axes, x, 1 / 64, c)
+
+    @pytest.mark.parametrize("layout", ["tensor_1d", "tensor_2d", "two_times_1d", "unsorted_1d"])
+    def test_refinement_sized_mesh_is_unchanged(self, layout):
+        # continuum-gap meshes are one block, evaluated as before the mesh was streamed
+        rng = np.random.default_rng(12)
+        ax = np.linspace(0.0, 1.0, 16, endpoint=False)
+        samples = {
+            "tensor_1d": SampleSet.grid([ax], 0.01),
+            "tensor_2d": SampleSet.grid([ax[:12], ax[:12]], 0.01),
+            "two_times_1d": SampleSet.grid([ax], [0.01, 0.02, 0.03]),
+            "unsorted_1d": SampleSet(rng.permutation(ax).reshape(-1, 1), np.full(16, 0.01)),
+        }[layout]
+        g = DualCertificate(MeasurementOperator(samples), rng.standard_normal(samples.d))
+        axes = [np.linspace(-0.1, 1.1, 49)] if samples.dim == 1 else [np.linspace(-0.1, 1.1, 47)] * 2
+        assert len(list(g.mesh_blocks(axes))) == 1
+        np.testing.assert_array_equal(g.on_mesh(axes), on_mesh_whole(g, axes))
+
+    def test_memory_stays_bounded(self):
+        # a whole-mesh evaluation holds four 8 MiB float64 meshes here, 33 MiB at its peak
+        mu = SparseMeasure(np.array([[0.21, -0.13]]), [1.0])
+        cfg = CertConfig(lam=1 / 64, m=16, p_jackson=4, dim=2, mesh_points=1024)
+        tracemalloc.start()
+        try:
+            approx = calibrated_certificate(cfg, mu, 0)
+            verify_soft_conditions(approx.certificate, mu, 0, cfg.lam, mesh_points=1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestRecoveryRadii:
@@ -303,6 +400,13 @@ class TestRecoveryRadii:
     def test_noisy_radius_increases_with_noise(self):
         radii = [noisy_recovery_radius(0.9, 1.2, 0.04, 1.0, eps, 1.05) for eps in (0.0, 0.01, 0.1)]
         assert radii[0] < radii[1] < radii[2]
+
+    @pytest.mark.parametrize(
+        "eps, rho", [(math.nan, 1.0), (0.0, math.nan), (math.inf, 1.0), (0.0, math.inf), (10**400, 1.0)]
+    )
+    def test_noisy_bad_numbers_rejected(self, eps, rho):
+        with pytest.raises(ValueError, match="finite"):
+            noisy_recovery_radius(0.5, 1.0, 0.04, 1.0, eps=eps, rho=rho)
 
     def test_noisy_vacuous_level_rejected(self):
         with pytest.raises(ValueError):
@@ -394,6 +498,18 @@ class TestSoftStableInequality:
         lam = 1 / 16
         A, b, report, eps = self._instance(lam, 0.0)
         assert verify_soft_stable_inequality(A, b, report, lam, rho=1.0, eps=100.0) is True
+
+    @pytest.mark.parametrize(
+        "kw",
+        [{"rho": math.nan}, {"eps": math.nan}, {"rho": math.inf}, {"eps": math.inf}],
+    )
+    def test_bad_numbers_rejected(self, kw):
+        # a NaN noise level or budget gives no verdict, not False
+        lam = 1 / 16
+        A, b, report, eps = self._instance(lam, 1e-3)
+        args = {"lam": lam, "rho": 1.05, "eps": eps, **kw}
+        with pytest.raises(ValueError):
+            verify_soft_stable_inequality(A, b, report, **args)
 
     def test_step_cap_gives_no_verdict(self):
         lam = 1 / 16

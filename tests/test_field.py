@@ -6,6 +6,7 @@ import pytest
 from heatloc.certificates import (
     CertConfig,
     _bump,
+    noisy_recovery_radius,
     recovery_radius,
     verify_soft_conditions,
     verify_soft_stable_inequality,
@@ -177,13 +178,15 @@ class TestAutocorrelation:
     def test_rejects_bad_width(self):
         # the bump evaluator trusts its width; the lab checks it where it enters
         mu = SparseMeasure(np.array([[0.1, -0.2]]), [1.0])
-        for lam in (0.0, -0.1):
+        for lam in (0.0, -0.1, math.nan, math.inf, True, 10**400):
             with pytest.raises(ValueError):
                 CertConfig(lam=lam, m=8, p_jackson=2)
             with pytest.raises(ValueError):
                 verify_soft_conditions(None, mu, 0, lam)
             with pytest.raises(ValueError):
                 recovery_radius(0.5, 1.0, lam)
+            with pytest.raises(ValueError):
+                noisy_recovery_radius(0.5, 1.0, lam, 1.0, eps=0.0, rho=1.0)
             with pytest.raises(ValueError):
                 verify_soft_stable_inequality(None, np.zeros(3), None, lam, 1.0, 0.0)
 
