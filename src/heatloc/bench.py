@@ -29,7 +29,7 @@ from .operators import (
     measure,
     rho_bounds,
 )
-from .refinement import CandidateGrid, RecoveryResult, RefinementConfig, run_refinement
+from .refinement import INITIAL_POINTS_PER_DIM, CandidateGrid, RecoveryResult, RefinementConfig, run_refinement
 from .solvers import SolverConfig
 
 __all__ = [
@@ -83,7 +83,6 @@ class ScenarioConfig:
     method: str = "refinement"  # refinement | baseline
     refinement: dict = dc_field(default_factory=dict)
     sl0: dict = dc_field(default_factory=dict)
-    schema_version: int = SCHEMA_VERSION
 
 
 def _validate(cfg: ScenarioConfig) -> None:
@@ -100,8 +99,6 @@ def _validate(cfg: ScenarioConfig) -> None:
     if not_finite:
         raise ConfigError(f"{', '.join(not_finite)}: must be finite numbers")
     errs = []
-    if cfg.schema_version != SCHEMA_VERSION:
-        errs.append(f"schema_version: expected {SCHEMA_VERSION}, got {cfg.schema_version}")
     if cfg.dim not in (1, 2):
         errs.append(f"dim: must be 1 or 2, got {cfg.dim}")
     if len(cfg.domain_lo) != cfg.dim or len(cfg.domain_hi) != cfg.dim:
@@ -302,44 +299,33 @@ def synthesize(cfg: ScenarioConfig) -> tuple[SparseMeasure, MeasurementOperator,
 class MatchResult:
     pairs: list
     position_errors: list
-    amplitude_errors: list
     amplitude_errors_rel: list
-    unmatched_truth: list
-    unmatched_estimate: list
-    total_cost: float
 
 
 def match_sources(truth: SparseMeasure, estimate: SparseMeasure) -> MatchResult:
     """Optimal assignment between truth and estimated atoms by total distance.
 
-    A rectangular linear-sum assignment: min(nt, ne) pairs, each atom used at
-    most once, pairs sorted by truth index.
+    A rectangular linear-sum assignment: one pair per atom of the smaller
+    measure, each atom used at most once, pairs sorted by truth index.
     """
     # deferred so that importing the package does not load scipy.optimize
     from scipy.optimize import linear_sum_assignment
 
-    nt, ne = truth.n_atoms, estimate.n_atoms
-    if nt == 0 or ne == 0:
-        return MatchResult([], [], [], [], list(range(nt)), list(range(ne)), 0.0)
+    if truth.n_atoms == 0 or estimate.n_atoms == 0:
+        return MatchResult([], [], [])
     diff = truth.positions[:, None, :] - estimate.positions[None, :, :]
     D = np.sqrt(np.einsum("ted,ted->te", diff, diff))
     rows, cols = linear_sum_assignment(D)
     pairs = sorted(zip(rows.tolist(), cols.tolist()))
-    total_cost = float(D[rows, cols].sum())
-    pos_err = [float(D[i, j]) for i, j in pairs]
-    amp_err = [float(abs(estimate.amplitudes[j] - truth.amplitudes[i])) for i, j in pairs]
     amp_rel = [
-        e / abs(truth.amplitudes[i]) if truth.amplitudes[i] != 0 else math.inf
-        for (i, _), e in zip(pairs, amp_err)
+        float(abs(estimate.amplitudes[j] - truth.amplitudes[i])) / abs(truth.amplitudes[i])
+        if truth.amplitudes[i] != 0 else math.inf
+        for i, j in pairs
     ]
     return MatchResult(
         pairs=[list(p) for p in pairs],
-        position_errors=pos_err,
-        amplitude_errors=amp_err,
+        position_errors=[float(D[i, j]) for i, j in pairs],
         amplitude_errors_rel=amp_rel,
-        unmatched_truth=[i for i in range(nt) if i not in {p[0] for p in pairs}],
-        unmatched_estimate=[j for j in range(ne) if j not in {p[1] for p in pairs}],
-        total_cost=total_cost,
     )
 
 
@@ -446,7 +432,7 @@ def refinement_config(cfg: ScenarioConfig, op: MeasurementOperator, b) -> Refine
     if not _noisy(cfg):
         rcfg.lasso_lambda = None
     elif rcfg.lasso_lambda is None:
-        grid0 = CandidateGrid.uniform(rcfg.lo, rcfg.hi, rcfg.initial_points_per_dim)
+        grid0 = CandidateGrid.uniform(rcfg.lo, rcfg.hi, INITIAL_POINTS_PER_DIM)
         rcfg.lasso_lambda = lasso_lambda_universal(cfg.snr_db, op, grid0.points, b)
         if rcfg.lasso_lambda == 0.0:
             raise ConfigError("refinement.lasso_lambda: the universal rule is zero for all-zero measurements")

@@ -15,16 +15,15 @@ on a dense evaluation mesh, and the resulting localization radii for the
 noiseless and noisy programs are evaluated.  Both sup-norms on the mesh, the
 construction's error and the off-support bound, are taken a block of mesh
 rows at a time (``DualCertificate.mesh_blocks``), so no array the size of
-the mesh is built: a 2D certificate and its check at 1024**2 points peak at
-about 3.5 MiB of numpy memory.  The noisy conclusion is also checked on a
-finite grid, by solving the TV-ball program min |A x - b| s.t. |x|_1 <= rho
-exactly as a point of the LASSO path.
+the mesh is built.  The noisy conclusion is also checked on a finite grid,
+by solving the TV-ball program min |A x - b| s.t. |x|_1 <= rho exactly as a
+point of the LASSO path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,18 +87,24 @@ class CertConfig:
 
     ``lam`` is the width of the similarity bump; samples live on a uniform
     grid of spacing 1/m over [-1, 1]^dim, all taken at time t = 2*lam so the
-    sampled kernels have exactly the bump's width.
+    sampled kernels have exactly the bump's width.  The kernel order
+    ``p_jackson`` defaults to max(1, m // 4), the largest whose translates fit
+    inside the grid.
     """
 
     lam: float
     m: int
-    p_jackson: int
+    p_jackson: int | None = None
     dim: int = 2
     mesh_points: int = 2048
 
     def __post_init__(self) -> None:
-        if not all(map(_is_count, (self.m, self.p_jackson, self.dim))):
-            raise ValueError("m, p_jackson and dim must be integers")
+        if not _is_count(self.m):
+            raise ValueError(f"m must be an integer, got {self.m!r}")
+        if self.p_jackson is None:
+            object.__setattr__(self, "p_jackson", max(1, self.m // 4))
+        if not (_is_count(self.p_jackson) and _is_count(self.dim)):
+            raise ValueError("p_jackson and dim must be integers")
         _check_mesh_points(self.mesh_points)
         _check_width(self.lam)
         if self.m < 1 or self.p_jackson < 1:
@@ -189,26 +194,12 @@ def grid_sample_set(cfg: CertConfig) -> SampleSet:
 
 @dataclass(frozen=True)
 class CertificateApproximation:
-    """A grid certificate approximating ``scale`` times the bump at ``p0``."""
+    """A grid certificate, its sup-error against the multiple of the bump it
+    approximates and the l2 norm of its Jackson coefficients."""
 
     certificate: DualCertificate
-    p0: np.ndarray
-    scale: float
     sup_error: float
-    tail_bound: float
     coeff_norm: float
-    weight_norm: float
-
-    def scaled(self, factor: float) -> "CertificateApproximation":
-        cert = DualCertificate(self.certificate.op, self.certificate.weights * factor)
-        return replace(
-            self,
-            certificate=cert,
-            scale=self.scale * factor,
-            sup_error=self.sup_error * factor,
-            tail_bound=self.tail_bound * factor,
-            weight_norm=self.weight_norm * factor,
-        )
 
 
 def _bump(r2, lam: float):
@@ -236,13 +227,13 @@ def _sup_bump_error(g: DualCertificate, axes, p0: np.ndarray, lam: float, c: flo
     return float(np.max(sups))
 
 
-def build_certificate_g(cfg: CertConfig, p0, scale: float = 1.0) -> CertificateApproximation:
-    """Grid-sample weights whose induced function approximates scale * bump(x - p0).
+def build_certificate_g(cfg: CertConfig, p0) -> CertificateApproximation:
+    """Grid-sample weights whose induced function approximates bump(x - p0).
 
     ``p0`` must lie in [-1/2, 1/2]^dim.  The weights place one combination
     coefficient on the sample nearest each translate of p0; the reported
     sup-error is measured on a dense mesh wide enough that the analytic tail
-    beyond it is negligible (returned as ``tail_bound``).
+    beyond it is at most 1e-13.
     """
     p0 = np.atleast_1d(np.asarray(p0, dtype=float))
     if p0.shape != (cfg.dim,):
@@ -264,36 +255,27 @@ def build_certificate_g(cfg: CertConfig, p0, scale: float = 1.0) -> CertificateA
             )
     peak = kernel_peak(cfg.t, cfg.dim)
     w = np.zeros((2 * cfg.m + 1,) * cfg.dim)
-    w[np.ix_(*idx_axes)] = scale * coeffs.dense() / peak
+    w[np.ix_(*idx_axes)] = coeffs.dense() / peak
     cert = DualCertificate(op, w.ravel())
 
     lam1 = float(np.sum(np.abs(cert.weights)))
-    amp = lam1 * peak + abs(scale)
-    pad = math.sqrt(4.0 * cfg.lam * math.log(max(amp, 1.0) * 1e13 / max(abs(scale), 1e-300)))
+    amp = lam1 * peak + 1.0
+    pad = math.sqrt(4.0 * cfg.lam * math.log(amp * 1e13))
     mesh = np.linspace(-1.0 - pad, 1.0 + pad, cfg.mesh_points)
-    sup_error = _sup_bump_error(cert, (mesh,) * cfg.dim, p0, cfg.lam, scale)
-    tail = amp * float(_bump(pad * pad, cfg.lam))
-    weight_norm = abs(scale) * coeffs.norm / peak
-
-    return CertificateApproximation(
-        certificate=cert,
-        p0=p0,
-        scale=scale,
-        sup_error=sup_error,
-        tail_bound=tail,
-        coeff_norm=coeffs.norm,
-        weight_norm=weight_norm,
-    )
+    sup_error = _sup_bump_error(cert, (mesh,) * cfg.dim, p0, cfg.lam, 1.0)
+    return CertificateApproximation(cert, sup_error, coeffs.norm)
 
 
 def calibrated_certificate(cfg: CertConfig, mu0: SparseMeasure, i0: int) -> CertificateApproximation:
     """Certificate at atom i0 of mu0, scaled so the anchor condition holds with equality."""
     _check_measure(mu0, i0)
-    base = build_certificate_g(cfg, mu0.positions[i0], scale=1.0)
+    base = build_certificate_g(cfg, mu0.positions[i0])
     anchor = float(np.sum(mu0.amplitudes * np.atleast_1d(base.certificate(mu0.positions))))
     if anchor <= 0:
         raise ValueError("unit-scale certificate has non-positive anchor; grid too coarse")
-    return base.scaled(1.0 / anchor)
+    factor = 1.0 / anchor
+    cert = DualCertificate(base.certificate.op, base.certificate.weights * factor)
+    return CertificateApproximation(cert, base.sup_error * factor, base.coeff_norm)
 
 
 @dataclass(frozen=True)
@@ -313,7 +295,6 @@ class CertificateReport:
     bound_noiseless: float
     bound_noisy: float
     p0: np.ndarray
-    i0: int
 
 
 def _check_measure(mu0: SparseMeasure, i0) -> None:
@@ -404,7 +385,6 @@ def verify_soft_conditions(
         bound_noiseless=bound_noiseless,
         bound_noisy=bound_noisy,
         p0=p0,
-        i0=i0,
     )
 
 
@@ -493,12 +473,11 @@ def smallest_feasible_m(
 ) -> tuple[int, CertificateReport] | None:
     """First m in ``m_values`` whose calibrated certificate is feasible.
 
-    The kernel order is m // 4, the largest whose translates fit inside the
-    grid.
+    The kernel order is ``CertConfig``'s default, max(1, m // 4).
     """
     for m in sorted(m_values):
         try:
-            cfg = CertConfig(lam=lam, m=int(m), p_jackson=max(1, int(m) // 4), dim=mu0.dim, **cert_kwargs)
+            cfg = CertConfig(lam=lam, m=int(m), dim=mu0.dim, **cert_kwargs)
             approx = calibrated_certificate(cfg, mu0, i0)
             report = verify_soft_conditions(
                 approx.certificate, mu0, i0, lam, coeff_norm=approx.coeff_norm

@@ -98,14 +98,9 @@ def _cmd_certify(args) -> int:
     unknown = set(raw) - _CERTIFY_KEYS
     if unknown:
         raise ConfigError(f"certify config: unknown fields {sorted(unknown)}")
-    optional = {k: raw[k] for k in ("dim", "mesh_points") if k in raw}
+    optional = {k: raw[k] for k in ("p_jackson", "dim", "mesh_points") if k in raw}
     try:
-        cert_cfg = CertConfig(
-            lam=raw["lam"],
-            m=raw["m"],
-            p_jackson=raw.get("p_jackson", max(1, raw["m"] // 4)),
-            **optional,
-        )
+        cert_cfg = CertConfig(lam=raw["lam"], m=raw["m"], **optional)
         positions = np.asarray(raw["source_positions"], dtype=float)
         amplitudes = np.asarray(raw["source_amplitudes"], dtype=float)
         i0 = raw.get("i0", 0)

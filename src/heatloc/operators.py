@@ -30,8 +30,9 @@ __all__ = [
     "rho_bounds",
 ]
 
-# Largest array a block of DualCertificate.mesh_blocks builds: 2**16 float64
-# values, 512 KiB, so a block stays in cache and a dense mesh is never whole.
+# Most values in a block of DualCertificate.mesh_blocks: 2**16 float64, 512 KiB,
+# so a dense mesh is never whole.  A 1D block on tensor samples builds one
+# kernel column per value, d * 2**16 entries.
 _MESH_BLOCK = 1 << 16
 
 
@@ -163,13 +164,14 @@ class DualCertificate:
 
         Yields ``(rows, values)``: a slice of the first axis and the values on
         those rows, shape ``(rows, n_2, ...)``, a fresh array the caller may
-        overwrite.  Separable where the samples are a tensor grid at one time
-        (``grid_axes``): the per-axis 1D kernel matrices F_j, whose product is
-        the dim-D kernel, are built once, and so is ``left = F_0^T W``; a block
-        is ``left[rows] @ F_1`` (``F_0[:, rows]^T @ w`` in 1D) and holds at
-        most ``_MESH_BLOCK`` values.  Point by point otherwise, where a
-        block's kernel matrix holds at most ``_MESH_BLOCK`` entries.  Either
-        way a block is one row at least.
+        overwrite.  A block holds at most ``_MESH_BLOCK`` values, and is one
+        row at least.  Separable where the samples are a tensor grid at one
+        time (``grid_axes``): the per-axis 1D kernel matrices F_j, whose
+        product is the dim-D kernel, give a block as ``F_0[:, rows]^T @ w`` in
+        1D, where only those columns of F_0 are built, and as
+        ``left[rows] @ F_1`` in 2D, where F_1 and ``left = F_0^T W`` are built
+        once.  Point by point otherwise, where a block's kernel matrix holds
+        at most ``_MESH_BLOCK`` entries.
         """
         axes = [np.asarray(a, dtype=float) for a in axes]
         if len(axes) != self.op.dim:
@@ -178,25 +180,21 @@ class DualCertificate:
         grid_axes = self.op.samples.grid_axes
         if grid_axes is not None:
             t = float(self.op.samples.ts[0])
-            factors = [
-                kernel_matrix(ga.reshape(-1, 1), t, ax.reshape(-1, 1))
-                for ax, ga in zip(axes, grid_axes)
-            ]
-            if len(axes) == 1:
-                left, right = factors[0].T, self.weights
-            else:
-                W = self.weights.reshape(grid_axes[0].size, grid_axes[1].size)
-                left, right = factors[0].T @ W, factors[1]
-        # a block's largest array: its values, or point by point its kernel matrix
+            cols = [ga.reshape(-1, 1) for ga in grid_axes]
+            if len(axes) == 2:
+                F_0, F_1 = (kernel_matrix(c, t, ax.reshape(-1, 1)) for c, ax in zip(cols, axes))
+                left = F_0.T @ self.weights.reshape(F_0.shape[0], F_1.shape[0])
         per_row = math.prod(row_shape) * (1 if grid_axes is not None else self.op.d)
         step = max(1, _MESH_BLOCK // per_row)
         for i in range(0, axes[0].size, step):
             rows = slice(i, i + step)
-            if grid_axes is not None:
-                yield rows, left[rows] @ right
-            else:
+            if grid_axes is None:
                 pts = tensor_points([axes[0][rows], *axes[1:]])
                 yield rows, self(pts).reshape(-1, *row_shape)
+            elif len(axes) == 1:
+                yield rows, kernel_matrix(cols[0], t, axes[0][rows].reshape(-1, 1)).T @ self.weights
+            else:
+                yield rows, left[rows] @ F_1
 
     def on_mesh(self, axes) -> np.ndarray:
         """Values on a tensor evaluation mesh, one 1D coordinate array per axis.

@@ -25,11 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators
-from .field import SparseMeasure, _fits_array, _is_count, _is_real, tensor_points
+from .field import SparseMeasure, _is_count, _is_real, tensor_points
 from .operators import DictionaryMatrix, DualCertificate, MeasurementOperator, build_dictionary
 from .solvers import SolveOutcome, SolverConfig, solve_l1_equality, solve_lasso
 
 __all__ = [
+    "INITIAL_POINTS_PER_DIM",
     "CandidateGrid",
     "RefinementConfig",
     "RoundDiagnostics",
@@ -48,6 +49,7 @@ _GAP_TOL = 1e-4  # refinement stops once max |nu| over the domain is at most 1 +
 _MESH_PER_WIDTH = 4  # gap mesh points per kernel width sqrt(t) along each axis
 _NEWTON_STEPS = 2  # Newton steps from each mesh maximum and selected grid point
 _START_MARGIN = 0.1  # points where |nu| is below 1 - this start no Newton steps
+INITIAL_POINTS_PER_DIM = 16  # points per axis of the uniform start grid
 
 
 def default_peak_threshold(k: int) -> float:
@@ -290,7 +292,6 @@ def recover_amplitudes(op: MeasurementOperator, support, b) -> SparseMeasure:
 class RefinementConfig:
     lo: np.ndarray
     hi: np.ndarray
-    initial_points_per_dim: int = 16
     max_rounds: int = 12
     lasso_lambda: float | None = None  # None: the equality solve; a penalty: the LASSO
     solver: SolverConfig | None = None
@@ -298,12 +299,8 @@ class RefinementConfig:
     def __post_init__(self) -> None:
         self.lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
         self.hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
-        if not (_is_count(self.initial_points_per_dim) and _is_count(self.max_rounds)):
-            raise ValueError("initial_points_per_dim and max_rounds must be integers")
-        if self.initial_points_per_dim < 1 or self.max_rounds < 1:
-            raise ValueError("initial_points_per_dim and max_rounds must be >= 1")
-        if not _fits_array(self.initial_points_per_dim**self.lo.size):
-            raise ValueError("initial_points_per_dim: more grid points than one array can hold")
+        if not (_is_count(self.max_rounds) and self.max_rounds >= 1):
+            raise ValueError(f"max_rounds must be an integer >= 1, got {self.max_rounds!r}")
         lam = self.lasso_lambda
         if lam is not None and not (_is_real(lam) and lam > 0):
             raise ValueError(f"lasso_lambda must be a positive number or None, got {lam!r}")
@@ -371,7 +368,7 @@ def run_refinement(op: MeasurementOperator, b, cfg: RefinementConfig) -> Recover
     tol = 1e-9 if lam is None else 1e-7
     scfg = cfg.solver or SolverConfig(tol_primal=tol, tol_dual=tol)
 
-    grid = CandidateGrid.uniform(cfg.lo, cfg.hi, cfg.initial_points_per_dim)
+    grid = CandidateGrid.uniform(cfg.lo, cfg.hi, INITIAL_POINTS_PER_DIM)
     A = build_dictionary(op, grid)
     diagnostics: list[RoundDiagnostics] = []
     outcome = None

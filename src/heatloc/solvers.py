@@ -25,11 +25,9 @@ fading linear perturbation from it to the solution at lam (warm-started l1
 homotopy, :func:`_warm_path`): about one step per support change instead
 of one per breakpoint below max|A^T b|.  When the warm path stops early (at
 its step cap, or at the rank guard that keeps its active set within the
-rows of A) or its end fails the KKT test, the cold path runs from zero.  On
-the two noiseless 1D instances of perfbench (16 rows) warm rounds cut a
-refinement run's path steps from 404 to 290 and from 562 to 423; a single
-warm path can still run longer than the cold one.  The l1-ball solve
-always starts from zero.  Each path sets numpy's error state once: its
+rows of A) or its end fails the KKT test, the cold path runs from zero.  A
+single warm path can still run longer than the cold one.  The l1-ball
+solve always starts from zero.  Each path sets numpy's error state once: its
 breakpoint search divides by every rate and masks the quotients of rates
 that do not approach.
 

@@ -11,6 +11,7 @@ from heatloc.operators import DualCertificate, build_dictionary, measure
 from heatloc.refinement import (
     _GAP_TOL,
     _KEY_DECIMALS,
+    INITIAL_POINTS_PER_DIM,
     CandidateGrid,
     continuum_gap,
     default_peak_threshold,
@@ -203,7 +204,7 @@ def refinement_cold_loop(op, b, cfg):
     lam = cfg.lasso_lambda
     tol = 1e-9 if lam is None else 1e-7
     scfg = cfg.solver or SolverConfig(tol_primal=tol, tol_dual=tol)
-    grid = CandidateGrid.uniform(cfg.lo, cfg.hi, cfg.initial_points_per_dim)
+    grid = CandidateGrid.uniform(cfg.lo, cfg.hi, INITIAL_POINTS_PER_DIM)
     per_round = []
     for k in range(1, cfg.max_rounds + 1):
         A = build_dictionary(op, grid)

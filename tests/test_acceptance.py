@@ -358,7 +358,7 @@ def test_certificate_lab():
     delta = np.array([0.3, -0.2])
     for m in (8, 16, 32):
         cfg = CertConfig(lam=lam, m=m, p_jackson=m // 4, dim=2, mesh_points=1024)
-        approx = build_certificate_g(cfg, delta / m, scale=1.0)
+        approx = build_certificate_g(cfg, delta / m)
         errs[m] = approx.sup_error
         norms.append(approx.coeff_norm)
     rng = np.random.default_rng(7)
@@ -413,9 +413,7 @@ def test_theory_practice_consistency():
         # noiseless: run the refinement pipeline and check every certified atom
         op = MeasurementOperator(grid_sample_set(cfg))
         b = measure(op, mu)
-        res = run_refinement(
-            op, b, RefinementConfig(lo=[-1.0], hi=[1.0], initial_points_per_dim=16)
-        )
+        res = run_refinement(op, b, RefinementConfig(lo=[-1.0], hi=[1.0]))
         assert res.estimate.n_atoms >= 1
         for i0, rep in enumerate(reports):
             if not rep.feasible:

@@ -23,7 +23,7 @@ from heatloc.bench import (
     synthesize,
 )
 from heatloc.field import SparseMeasure
-from heatloc.refinement import CandidateGrid, RefinementConfig
+from heatloc.refinement import INITIAL_POINTS_PER_DIM, CandidateGrid
 
 
 def small_scenario(**overrides) -> ScenarioConfig:
@@ -84,14 +84,14 @@ class TestMatchSources:
         mu = SparseMeasure.from_1d([1.0, 2.0], [1.0, -1.0])
         m = match_sources(mu, mu)
         assert m.position_errors == [0.0, 0.0]
-        assert m.amplitude_errors == [0.0, 0.0]
+        assert m.amplitude_errors_rel == [0.0, 0.0]
 
     def test_permutation_invariance(self):
         truth = SparseMeasure.from_1d([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
         est = SparseMeasure.from_1d([3.0, 1.0, 2.0], [3.0, 1.0, 2.0])
         m = match_sources(truth, est)
         assert m.position_errors == [0.0, 0.0, 0.0]
-        assert m.amplitude_errors == [0.0, 0.0, 0.0]
+        assert m.amplitude_errors_rel == [0.0, 0.0, 0.0]
 
     def test_matches_brute_force_on_random_instances(self):
         rng = np.random.default_rng(0)
@@ -110,12 +110,12 @@ class TestMatchSources:
                 float(D[list(rows), perms].sum(axis=1).min())
                 for rows in itertools.combinations(range(nt), r)
             )
-            assert m.total_cost == pytest.approx(best, abs=1e-12)
+            assert sum(m.position_errors) == pytest.approx(best, abs=1e-12)
 
     def test_empty_estimate(self):
         truth = SparseMeasure.from_1d([1.0], [1.0])
         m = match_sources(truth, SparseMeasure.empty(1))
-        assert m.pairs == [] and m.unmatched_truth == [0]
+        assert m.pairs == [] and m.position_errors == [] and m.amplitude_errors_rel == []
 
 
 class TestRunScenario:
@@ -329,9 +329,7 @@ class TestRunScenario:
         for overrides in cases:
             with pytest.raises(Resolved):
                 bench.run_method(dataclasses.replace(cfg, **overrides), op, b)
-        grid0 = CandidateGrid.uniform(
-            cfg.domain_lo, cfg.domain_hi, RefinementConfig.initial_points_per_dim
-        )
+        grid0 = CandidateGrid.uniform(cfg.domain_lo, cfg.domain_hi, INITIAL_POINTS_PER_DIM)
         universal = lasso_lambda_universal(cfg.snr_db, op, grid0.points, b)
         assert seen == [universal, universal, 2e-3, None]
 

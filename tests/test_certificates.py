@@ -132,7 +132,7 @@ class TestBuildCertificate:
     def test_on_node_center_value(self):
         cfg = CertConfig(lam=1 / 16, m=16, p_jackson=4, dim=2, mesh_points=512)
         p0 = np.array([4 / 16, -3 / 16])  # a grid node
-        approx = build_certificate_g(cfg, p0, scale=1.0)
+        approx = build_certificate_g(cfg, p0)
         g_p0 = approx.certificate(p0)
         assert abs(g_p0 - 1.0) <= 2 * approx.sup_error + 1e-12
 
@@ -142,7 +142,7 @@ class TestBuildCertificate:
         errs = {}
         for m in (8, 16, 32):
             cfg = CertConfig(lam=lam, m=m, p_jackson=m // 4, dim=2, mesh_points=1024)
-            errs[m] = build_certificate_g(cfg, delta / m, scale=1.0).sup_error
+            errs[m] = build_certificate_g(cfg, delta / m).sup_error
         assert errs[16] <= 0.7 * errs[8]
         assert errs[32] <= 0.7 * errs[16]
 
@@ -155,14 +155,14 @@ class TestBuildCertificate:
         errs = {}
         for m in (8, 16, 32):
             cfg = CertConfig(lam=lam, m=m, p_jackson=m // 4, dim=1, mesh_points=4096)
-            errs[m] = build_certificate_g(cfg, delta / m, scale=1.0).sup_error
+            errs[m] = build_certificate_g(cfg, delta / m).sup_error
         c_coarse = 8 * errs[8]
         for m in (8, 16, 32):
             assert m * errs[m] <= 2.0 * c_coarse
 
     def test_real_valued_certificate(self):
         cfg = CertConfig(lam=1 / 16, m=16, p_jackson=4, dim=2, mesh_points=512)
-        approx = build_certificate_g(cfg, np.array([0.21, -0.13]), scale=1.0)
+        approx = build_certificate_g(cfg, np.array([0.21, -0.13]))
         assert approx.certificate.weights.dtype == np.float64
         values = approx.certificate(np.array([[0.1, 0.2], [0.3, -0.4]]))
         assert np.asarray(values).dtype == np.float64
@@ -179,7 +179,7 @@ class TestBuildCertificate:
 
     def test_coefficient_norm_reported(self):
         cfg = CertConfig(lam=1 / 16, m=16, p_jackson=4, dim=1, mesh_points=512)
-        approx = build_certificate_g(cfg, np.array([0.21]), scale=1.0)
+        approx = build_certificate_g(cfg, np.array([0.21]))
         assert 0.5 < approx.coeff_norm <= 1.0 + 1e-8
 
 
@@ -305,7 +305,8 @@ class TestStreamedSupNorm:
     def _certificate(dim):
         p0 = np.array([0.21, -0.13])[:dim]
         cfg = CertConfig(lam=1 / 64, m=16, p_jackson=4, dim=dim)
-        return build_certificate_g(cfg, p0, scale=1.3).certificate, p0, cfg.lam
+        g = build_certificate_g(cfg, p0).certificate
+        return DualCertificate(g.op, 1.3 * g.weights), p0, cfg.lam
 
     @pytest.mark.parametrize("shape", [(2048,), (100_003,), (1024, 1024), (1000, 777)])
     def test_tensor_samples_match_whole_mesh(self, shape):
@@ -367,6 +368,20 @@ class TestStreamedSupNorm:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    def test_1d_memory_stays_bounded(self):
+        # configs/certify_1d.json's measure on 2**18 points: building the whole
+        # (33, 2**18) kernel matrix peaks at 268 MiB, 2**16-column slices at 70 MiB
+        mu = SparseMeasure(np.array([[-0.22], [0.31]]), [0.5, 0.5])
+        cfg = CertConfig(lam=0.0625, m=16, p_jackson=4, dim=1)
+        approx = calibrated_certificate(cfg, mu, 0)
+        tracemalloc.start()
+        try:
+            verify_soft_conditions(approx.certificate, mu, 0, cfg.lam, mesh_points=2**18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20
 
 
 class TestRecoveryRadii:

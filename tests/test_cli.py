@@ -138,6 +138,7 @@ class TestCli:
             ({"refinement": {"solver": {"max_iters": 0}}}, None),
             ({"method": "baseline", "sl0": {"step_mu": -1}}, None),
             ({"method": "baseline", "sl0": {"bogus": 1}}, None),
+            # every initial_points_per_dim case is an unknown key: the start grid is a constant
             ({"refinement": {"initial_points_per_dim": 0}}, None),
             ({"refinement": {"max_rounds": 0}}, None),
             ({"sweep": [5]}, None),
@@ -172,6 +173,7 @@ class TestCli:
             ({"source_seed": 2**64}, None),
             ({"sweep": []}, None),
             ({"eval_mesh": 256}, None),
+            ({"schema_version": 4}, None),
             ({"rho": HUGE}, None),
             ({"snr_db": HUGE}, None),
             ({"min_separation": HUGE}, None),
@@ -205,6 +207,7 @@ class TestCli:
             "sources_beyond_every_sensor_with_noise",
             "nan_measurement", "infinite_measurement", "zero_measurements_universal_penalty",
             "negative_noise_seed", "seed_beyond_uint64", "empty_sweep", "removed_eval_mesh",
+            "removed_schema_version",
             "huge_int_rho", "huge_int_snr_db", "huge_int_min_separation", "huge_int_domain_hi",
             "huge_int_amplitude", "huge_int_position", "huge_int_sensor_count", "huge_int_time_count",
             "huge_int_lasso_lambda", "huge_int_solver_tol", "huge_int_initial_points",
@@ -270,6 +273,10 @@ class TestCli:
 
     def test_certify_bad_values_are_config_errors(self, tmp_path, capsys):
         cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / "certify_1d.json"
+        shipped = json.loads(cfg.read_text())
+        # without p_jackson, whose default m // 4 needs an integer m
+        no_p_jackson = {k: v for k, v in shipped.items() if k != "p_jackson"}
+        docs = [no_p_jackson | {"m": m} for m in ("16", None, [16])]
         for override in (
             {"rho": 0.5},
             {"m": 0},
@@ -294,8 +301,8 @@ class TestCli:
             {"rho": HUGE},
             {"source_positions": [[HUGE], [0.31]]},
         ):
-            doc = json.loads(cfg.read_text())
-            doc.update(override)
+            docs.append(shipped | override)
+        for doc in docs:
             path = tmp_path / "cert.json"
             path.write_text(json.dumps(doc))
             assert main(["certify", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
