@@ -9,8 +9,9 @@ certificate has near-unit modulus, inserts new candidates at half the local
 spacing around them, and adds the points where the certificate exceeds
 ``1 + _GAP_TOL`` off the grid (the exchange step of Flinth, de Gournay &
 Weiss 2021).  The grid only grows, with old points first, so each round
-appends the new points' columns to the last round's dictionary, and each
-round's path starts from the last round's solution.  After the loop
+appends the new points' columns to the last round's dictionary, grown in
+place in a buffer with spare columns, and each round's path starts from the
+last round's solution.  After the loop
 the final round's primal coefficients are condensed into source positions,
 in 1D and 2D alike: atoms closer than one kernel width are chained and each
 chain becomes its mass-weighted centroid.  Amplitudes are then recovered by
@@ -122,11 +123,13 @@ def refine_grid(grid: CandidateGrid, selected) -> CandidateGrid:
     cand = np.clip(grid.points[mask, None, :] + half[:, None, None] * stencil, grid.lo, grid.hi)
     pts = np.concatenate([grid.points, cand.reshape(-1, grid.dim)])
     spacing = np.concatenate([grid.spacing, np.repeat(half, stencil.shape[0])])
-    _, first, inverse = np.unique(
-        np.round(pts, _KEY_DECIMALS), axis=0, return_index=True, return_inverse=True
-    )
-    folded = np.full(first.size, np.inf)
-    np.minimum.at(folded, inverse.reshape(-1), spacing)
+    # equal keys sort next to each other, lowest index first (lexsort is stable)
+    keys = np.round(pts, _KEY_DECIMALS)
+    perm = np.lexsort(keys.T[::-1])
+    keys = keys[perm]
+    starts = np.flatnonzero(np.concatenate([[True], np.any(keys[1:] != keys[:-1], axis=1)]))
+    first = perm[starts]
+    folded = np.minimum.reduceat(spacing[perm], starts)
     order = np.argsort(first)  # distinct keys in order of first appearance
     return CandidateGrid(pts[first[order]], folded[order], grid.lo, grid.hi)
 
@@ -369,7 +372,11 @@ def run_refinement(op: MeasurementOperator, b, cfg: RefinementConfig) -> Recover
     scfg = cfg.solver or SolverConfig(tol_primal=tol, tol_dual=tol)
 
     grid = CandidateGrid.uniform(cfg.lo, cfg.hi, INITIAL_POINTS_PER_DIM)
-    A = build_dictionary(op, grid)
+    # the dictionary's columns, grown in place: each round's DictionaryMatrix
+    # views the first grid.size columns of this C-order buffer, whose
+    # capacity at least doubles when the grid outgrows it
+    columns = np.empty((op.d, grid.size))
+    built = 0
     diagnostics: list[RoundDiagnostics] = []
     outcome = None
     stopped_by = "max_rounds"
@@ -377,9 +384,14 @@ def run_refinement(op: MeasurementOperator, b, cfg: RefinementConfig) -> Recover
     for k in range(1, cfg.max_rounds + 1):
         # exchange_step keeps the old points first and in order, so the
         # dictionary only gains the columns of the new points
-        if grid.size > A.shape[1]:
-            new = build_dictionary(op, grid.points[A.shape[1]:])
-            A = DictionaryMatrix(np.hstack([A.entries, new.entries]), grid.points)
+        if grid.size > built:
+            if grid.size > columns.shape[1]:
+                grown = np.empty((op.d, max(2 * columns.shape[1], grid.size)))
+                grown[:, :built] = columns[:, :built]
+                columns = grown
+            columns[:, built:grid.size] = build_dictionary(op, grid.points[built:]).entries
+            built = grid.size
+            A = DictionaryMatrix(columns[:, :built], grid.points)
         # resume from the last round's solution, the new points at zero
         start = None if outcome is None else np.pad(outcome.primal, (0, grid.size - outcome.primal.size))
         if lam is not None:

@@ -19,7 +19,7 @@ from heatloc.refinement import (
     recover_amplitudes,
     select_peaks_1d,
 )
-from heatloc.solvers import SolverConfig, solve_l1_equality, solve_lasso
+from heatloc.solvers import _TIE_EPS, SolverConfig, _gram_solve, _next_breakpoint, solve_l1_equality, solve_lasso
 
 
 def min_l1_equality_lp(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -127,6 +127,95 @@ def next_breakpoint_where(q, dq, bound, dbound, active, signs, x_act, w, step, b
         leave = int(np.argmin(cross))
         step, join = float(cross[leave]), -1
     return step, join, leave
+
+
+def lasso_path_recomputed(mat, b, lam: float, radius: float, max_steps: int):
+    """``solvers._lasso_path`` with its correlations recomputed from x at every step.
+
+    The loop as first written: each step forms A^T (b - A x) afresh, where
+    the solver carries the correlations along the segment.  Returns
+    ``(x, active, steps, done, events)``, ``events`` the ``(join, leave)``
+    pair of every step's breakpoint.
+    """
+    P = mat.shape[1]
+    x = np.zeros(P)
+    corr = mat.T @ b
+    level = float(np.max(np.abs(corr))) if P else 0.0
+    lam = max(lam, _TIE_EPS * level)
+    active, banned, steps, events = [], -1, 0, []
+    if level > lam:
+        active.append(int(np.argmax(np.abs(corr))))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while level > lam and steps < max_steps:
+            steps += 1
+            act = np.array(active, dtype=np.intp)
+            sub = mat[:, act]
+            signs = np.sign(corr[act])
+            w = _gram_solve(sub, signs)
+            u = mat.T @ (sub @ w)
+            x_act = x[act]
+            step, join, leave = _next_breakpoint(
+                corr, -u, level, -1.0, act, signs, x_act, w, level - lam, banned, _TIE_EPS * level
+            )
+            events.append((join, leave))
+            if radius < math.inf:
+                l1, growth = float(signs @ x_act), float(np.sum(signs * w))
+                if growth > 0.0 and l1 + step * growth >= radius:
+                    x[act] = x_act + (radius - l1) / growth * w
+                    return x, active, steps, True, events
+            x[act] = x_act + step * w
+            level = lam if join < 0 and leave < 0 else level - step
+            banned = -1
+            if leave >= 0:
+                banned = active.pop(leave)
+                x[banned] = 0.0
+            elif join >= 0:
+                active.append(join)
+            corr = mat.T @ (b - mat @ x)
+    return x, active, steps, level <= lam, events
+
+
+def warm_path_recomputed(mat, b, lam: float, start, max_steps: int):
+    """``solvers._warm_path`` with its effective correlations recomputed from x at every step.
+
+    q = A^T (b - A x) + (1 - eps) * u is formed afresh each step, where the
+    solver carries it along the segment.  Returns ``(x, active, steps, done,
+    events)`` like :func:`lasso_path_recomputed`.
+    """
+    d = mat.shape[0]
+    x = np.array(start, dtype=float)
+    active, events = np.flatnonzero(x).tolist(), []
+    if len(active) > d:
+        return x, active, 0, False, events
+    c = mat.T @ (b - mat @ x)
+    z = np.where(np.abs(c) <= lam, c / lam, 0.0)
+    z[active] = np.sign(x[active])
+    u = lam * z - c
+    eps, steps, banned = 0.0, 0, -1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while eps < 1.0 and steps < max_steps:
+            steps += 1
+            act = np.array(active, dtype=np.intp)
+            q = mat.T @ (b - mat @ x) + (1.0 - eps) * u
+            sub = mat[:, act]
+            w = -_gram_solve(sub, u[act])
+            dq = -(mat.T @ (sub @ w)) - u
+            x_act = x[act]
+            step, join, leave = _next_breakpoint(
+                q, dq, lam, 0.0, act, np.sign(q[act]), x_act, w, 1.0 - eps, banned, _TIE_EPS
+            )
+            events.append((join, leave))
+            x[act] = x_act + step * w
+            eps = 1.0 if join < 0 and leave < 0 else eps + step
+            banned = -1
+            if leave >= 0:
+                banned = active.pop(leave)
+                x[banned] = 0.0
+            elif join >= 0:
+                if len(active) == d:
+                    return x, active, steps, False, events
+                active.append(join)
+    return x, active, steps, eps >= 1.0, events
 
 
 def lasso_objective(A, b, lam, x) -> float:

@@ -22,7 +22,7 @@ from heatloc.bench import (
     run_sweep,
     synthesize,
 )
-from heatloc.field import SparseMeasure
+from heatloc.field import SparseMeasure, evaluate_field, tensor_points
 from heatloc.refinement import INITIAL_POINTS_PER_DIM, CandidateGrid
 
 
@@ -360,3 +360,30 @@ class TestSynthesize:
         assert not np.array_equal(b0, b1)
         _, _, b2 = synthesize(small_scenario(snr_db=math.inf))
         np.testing.assert_array_equal(b0, b2)
+
+
+class TestFieldRmse:
+    """The separable field difference matches the dense fields' difference."""
+
+    @staticmethod
+    def dense(truth, estimate, cfg, t) -> float:
+        n = 256 if cfg.dim == 1 else 128
+        pts = tensor_points([np.linspace(lo, hi, n) for lo, hi in zip(cfg.domain_lo, cfg.domain_hi)])
+        err = evaluate_field(truth, pts, t) - evaluate_field(estimate, pts, t)
+        return float(np.sqrt(np.mean(err**2)))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_dense_fields(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        cfg = small_scenario(dim=dim, domain_lo=[0.0, -1.0][:dim], domain_hi=[2 * math.pi, 4.0][:dim])
+        lo, hi = np.array(cfg.domain_lo), np.array(cfg.domain_hi)
+        truth = SparseMeasure(rng.uniform(lo, hi, (3, dim)), rng.uniform(0.5, 1.5, 3))
+        estimates = [
+            SparseMeasure(truth.positions + 0.05, 1.1 * truth.amplitudes),
+            SparseMeasure(rng.uniform(lo, hi, (5, dim)), rng.uniform(-1.0, 1.5, 5)),
+            SparseMeasure.empty(dim),
+        ]
+        for t in (0.3, 2.0):
+            for estimate in estimates:
+                want = self.dense(truth, estimate, cfg, t)
+                assert abs(bench._field_rmse(truth, estimate, cfg, t) - want) <= 1e-12 * want

@@ -18,6 +18,7 @@ from heatloc.operators import (
 from heatloc.refinement import (
     _GAP_TOL,
     _MESH_PER_WIDTH,
+    INITIAL_POINTS_PER_DIM,
     CandidateGrid,
     RefinementConfig,
     continuum_gap,
@@ -475,6 +476,15 @@ class TestWarmStartedRounds:
             np.testing.assert_array_equal(A.points[: prev.shape[0]], prev)
             prev = A.points
         np.testing.assert_array_equal(res.nu, A.entries.T @ res.last_outcome.dual)
+
+    @pytest.mark.parametrize("name", ["snr20db", "snr30db"])
+    def test_grown_dictionary_gives_the_full_build_certificate(self, name):
+        # the dictionary's buffer starts with one column per start-grid point
+        op, b, rcfg = scenario_inputs(shipped_scenario("sweep_2d_snr.json", name))
+        res = run_refinement(op, b, rcfg)
+        assert res.final_grid.shape[0] > INITIAL_POINTS_PER_DIM**2
+        full = build_dictionary(op, res.final_grid)
+        assert res.nu.tobytes() == (full.entries.T @ res.last_outcome.dual).tobytes()
 
     @pytest.mark.parametrize("file,name", SHIPPED_NOISELESS)
     def test_equality_rounds_resume_from_last_primal(self, monkeypatch, file, name):

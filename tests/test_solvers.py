@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,14 @@ from heatloc import solvers
 from heatloc.operators import MeasurementOperator, SampleSet, build_dictionary
 from heatloc.solvers import SolverConfig, solve_l1_equality, solve_lasso
 
-from oracles import lasso_coordinate_descent, lasso_objective, min_l1_equality_lp, next_breakpoint_where
+from oracles import (
+    lasso_coordinate_descent,
+    lasso_objective,
+    lasso_path_recomputed,
+    min_l1_equality_lp,
+    next_breakpoint_where,
+    warm_path_recomputed,
+)
 
 
 class TestL1Equality:
@@ -343,7 +352,7 @@ class TestPathKernel:
         A, b = _near_tie_instance(seed)
         level = float(np.max(np.abs(A.T @ b)))
         cap = SolverConfig(max_iters=1000)
-        for lam in (1e-4 * level, 1e-6 * level):
+        for lam in (1e-4 * level, 1e-5 * level, 1e-6 * level):
             solve_lasso(A, b, lam, cap)
         solve_l1_equality(A, b, cap)
         assert len(events) > 100
@@ -406,6 +415,73 @@ class TestPathKernel:
             with pytest.raises(RuntimeError, match="injected"):
                 solve()
             assert np.geterr() == before
+
+
+class TestCarriedCorrelations:
+    """Paths that carry their correlations along each segment take the steps
+    of paths that recompute them from x at every step."""
+
+    @staticmethod
+    def assert_same_path(monkeypatch, A, b, lam, radius=math.inf, start=None) -> list:
+        """Same ``(join, leave)`` events, step count, stop and active set as the
+        recomputing oracle, and an end point whose correlations agree with the
+        oracle's to 1e-12 * max|A^T b|; returns the events."""
+        events = []
+        real = solvers._next_breakpoint
+
+        def record(*args):
+            out = real(*args)
+            events.append(out[1:])
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(solvers, "_next_breakpoint", record)
+            if start is None:
+                x, active, steps, done = solvers._lasso_path(A, b, lam, radius, 1000)
+                ref = lasso_path_recomputed(A, b, lam, radius, 1000)
+            else:
+                x, active, steps, done = solvers._warm_path(A, b, lam, start, 1000)
+                ref = warm_path_recomputed(A, b, lam, start, 1000)
+        x_ref, active_ref, steps_ref, done_ref, events_ref = ref
+        assert events == events_ref
+        assert (steps, done, list(active)) == (steps_ref, done_ref, list(active_ref))
+        # correlations, not coefficients: near-tied columns leave x ill-conditioned
+        level = float(np.max(np.abs(A.T @ b)))
+        assert np.max(np.abs(A.T @ (A @ (x - x_ref)))) <= 1e-12 * level
+        return events
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_path_on_random_instances(self, monkeypatch, seed):
+        rng = np.random.default_rng(700 + seed)
+        A, b = rng.standard_normal((16, 64)), rng.standard_normal(16)
+        start = np.zeros(64)
+        start[rng.choice(64, 8, replace=False)] = rng.standard_normal(8)
+        exact = A[:, :3] @ [1.0, -2.0, 0.5]
+        events = self.assert_same_path(monkeypatch, A, b, 0.1)
+        events += self.assert_same_path(monkeypatch, A, b, 0.1, start=start)
+        events += self.assert_same_path(monkeypatch, A, b, 0.0, radius=1.5)  # an l1-ball path
+        events += self.assert_same_path(monkeypatch, A, exact, 1e-6 * np.max(np.abs(A.T @ exact)))
+        assert any(leave >= 0 for _, leave in events)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_path_on_heat_kernel_instances(self, monkeypatch, seed):
+        A, b, lam = _kernel_instance(seed)
+        rng = np.random.default_rng(600 + seed)
+        start = np.zeros(A.shape[1])
+        start[rng.choice(A.shape[1], 4, replace=False)] = rng.standard_normal(4)
+        self.assert_same_path(monkeypatch, A, b, lam)
+        self.assert_same_path(monkeypatch, A, b, lam, start=start)
+        self.assert_same_path(monkeypatch, A, b, 1e-6 * np.max(np.abs(A.T @ b)))  # the equality penalty
+        self.assert_same_path(monkeypatch, A, b, 0.0, radius=1.0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_path_on_near_ties(self, monkeypatch, seed):
+        # the penalties at which no seed's path cycles: below them rounding
+        # picks among tied columns, and the two paths may cycle differently
+        A, b = _near_tie_instance(seed)
+        level = float(np.max(np.abs(A.T @ b)))
+        for lam in (1e-4 * level, 1e-5 * level):
+            self.assert_same_path(monkeypatch, A, b, lam)
 
 
 class TestSolverConfig:
