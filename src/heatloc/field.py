@@ -9,7 +9,10 @@ Its total mass is ``2**(-dim/2)``, not 1; the convention is fixed so that a
 kernel at time ``t = 2*lam`` has exactly the shape of the certificate lab's
 similarity bump ``exp(-|x|**2 / (4*lam))``.  This module is the only one that
 knows the convention: :func:`kernel_matrix` is the one evaluator of G and
-:func:`kernel_peak` the one source of its peak value.
+:func:`kernel_peak` the one source of its peak value.  :func:`kernel_matrix`
+fills one buffer, its result: the squared distances, exponent, exponential
+and peak factor are each written in place, so only the differences along a
+second axis take a temporary of the same size.
 """
 
 from __future__ import annotations
@@ -129,11 +132,19 @@ def kernel_matrix(xs: np.ndarray, ts, points: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)[:, None]
     # one axis at a time: broadcasting over a trailing axis of length dim is
     # several times slower, and the squared distances come out the same bits
-    r2 = 0.0
-    for x, q in zip(xs.T, points.T):
-        diff = x[:, None] - q[None, :]
-        r2 = r2 + diff * diff
-    return kernel_peak(ts, dim) * np.exp(-r2 / (2.0 * ts))
+    coords = zip(xs.T, points.T)
+    out = np.subtract.outer(*next(coords))
+    out *= out
+    for x, q in coords:
+        diff = np.subtract.outer(x, q)
+        diff *= diff
+        out += diff
+    # then -r2 / (2 t), exp and the peak factor, each in place in ``out``
+    np.negative(out, out=out)
+    out /= 2.0 * ts
+    np.exp(out, out=out)
+    out *= kernel_peak(ts, dim)
+    return out
 
 
 def tensor_points(axes) -> np.ndarray:

@@ -32,7 +32,8 @@ __all__ = [
 
 # Most values in a block of DualCertificate.mesh_blocks: 2**16 float64, 512 KiB,
 # so a dense mesh is never whole.  A 1D block on tensor samples builds one
-# kernel column per value, d * 2**16 entries.
+# kernel column per value over the nonzero-weight sensors, at most d * 2**16
+# entries.
 _MESH_BLOCK = 1 << 16
 
 
@@ -170,8 +171,12 @@ class DualCertificate:
         product is the dim-D kernel, give a block as ``F_0[:, rows]^T @ w`` in
         1D, where only those columns of F_0 are built, and as
         ``left[rows] @ F_1`` in 2D, where F_1 and ``left = F_0^T W`` are built
-        once.  Point by point otherwise, where a block's kernel matrix holds
-        at most ``_MESH_BLOCK`` entries.
+        once.  The factors span only the sensors that carry a nonzero weight:
+        in 1D those sensors, in 2D the rows and columns of the weight matrix W
+        that hold a nonzero entry (all of them for a dense weight vector), so a
+        1D block builds at most ``d * _MESH_BLOCK`` kernel entries.  Point by
+        point otherwise, where a block's kernel matrix holds at most
+        ``_MESH_BLOCK`` entries.
         """
         axes = [np.asarray(a, dtype=float) for a in axes]
         if len(axes) != self.op.dim:
@@ -180,10 +185,17 @@ class DualCertificate:
         grid_axes = self.op.samples.grid_axes
         if grid_axes is not None:
             t = float(self.op.samples.ts[0])
+            W = self.weights.reshape([ga.size for ga in grid_axes])
+            # a sensor coordinate whose weights are all zero adds nothing
+            nz = W != 0
+            keep = [nz.any(axis=tuple(k for k in range(nz.ndim) if k != j)) for j in range(nz.ndim)]
+            if not all(map(np.all, keep)):
+                W = W[np.ix_(*keep)]
+                grid_axes = [ga[k] for ga, k in zip(grid_axes, keep)]
             cols = [ga.reshape(-1, 1) for ga in grid_axes]
             if len(axes) == 2:
                 F_0, F_1 = (kernel_matrix(c, t, ax.reshape(-1, 1)) for c, ax in zip(cols, axes))
-                left = F_0.T @ self.weights.reshape(F_0.shape[0], F_1.shape[0])
+                left = F_0.T @ W
         per_row = math.prod(row_shape) * (1 if grid_axes is not None else self.op.d)
         step = max(1, _MESH_BLOCK // per_row)
         for i in range(0, axes[0].size, step):
@@ -192,7 +204,7 @@ class DualCertificate:
                 pts = tensor_points([axes[0][rows], *axes[1:]])
                 yield rows, self(pts).reshape(-1, *row_shape)
             elif len(axes) == 1:
-                yield rows, kernel_matrix(cols[0], t, axes[0][rows].reshape(-1, 1)).T @ self.weights
+                yield rows, kernel_matrix(cols[0], t, axes[0][rows].reshape(-1, 1)).T @ W
             else:
                 yield rows, left[rows] @ F_1
 

@@ -6,7 +6,7 @@ import numpy as np
 from scipy.optimize import least_squares, linprog, minimize
 
 from heatloc.certificates import _bump
-from heatloc.field import SparseMeasure, kernel_matrix, tensor_points
+from heatloc.field import SparseMeasure, kernel_matrix, kernel_peak, tensor_points
 from heatloc.operators import DualCertificate, build_dictionary, measure
 from heatloc.refinement import (
     _GAP_TOL,
@@ -365,7 +365,9 @@ def wave_coeffs_quadrature(delta: float, p: int, n_nodes: int) -> np.ndarray:
 def on_mesh_whole(cert: DualCertificate, axes) -> np.ndarray:
     """Certificate values on a tensor mesh, computed whole: the separable product
     F_0^T W F_1 over the full mesh, or point by point in chunks of 2**22 kernel
-    entries.  The reference for ``DualCertificate.mesh_blocks``."""
+    entries.  The separable factors span the sensor coordinates whose weights
+    are not all zero (every sensor when no weight is zero).  The reference for
+    ``DualCertificate.mesh_blocks``."""
     axes = [np.asarray(a, dtype=float) for a in axes]
     grid_axes = cert.op.samples.grid_axes
     if grid_axes is None:
@@ -373,14 +375,34 @@ def on_mesh_whole(cert: DualCertificate, axes) -> np.ndarray:
         vals = np.concatenate([cert(pts[i : i + step]) for i in range(0, len(pts), step)])
         return vals.reshape([a.size for a in axes])
     t = float(cert.op.samples.ts[0])
+    W = cert.weights.reshape([ga.size for ga in grid_axes])
+    if len(axes) == 1:
+        support = [W != 0]
+    else:
+        support = [np.any(W != 0, axis=1), np.any(W != 0, axis=0)]
+    if not all(s.all() for s in support):
+        W = W[np.ix_(*support)]
+        grid_axes = [ga[s] for ga, s in zip(grid_axes, support)]
     factors = [
         kernel_matrix(ga.reshape(-1, 1), t, ax.reshape(-1, 1))
         for ax, ga in zip(axes, grid_axes)
     ]
     if len(axes) == 1:
-        return factors[0].T @ cert.weights
-    W = cert.weights.reshape(grid_axes[0].size, grid_axes[1].size)
+        return factors[0].T @ W
     return factors[0].T @ W @ factors[1]
+
+
+def kernel_matrix_temporaries(xs: np.ndarray, ts, points: np.ndarray) -> np.ndarray:
+    """``field.kernel_matrix`` written as one expression of fresh temporaries:
+    the squared distances summed from 0.0, then peak * exp(-r2 / (2 t))."""
+    dim = xs.shape[1]
+    if np.ndim(ts):
+        ts = np.asarray(ts, dtype=float)[:, None]
+    r2 = 0.0
+    for x, q in zip(xs.T, points.T):
+        diff = x[:, None] - q[None, :]
+        r2 = r2 + diff * diff
+    return kernel_peak(ts, dim) * np.exp(-r2 / (2.0 * ts))
 
 
 def sup_bump_error_whole(g: DualCertificate, axes, p0, lam: float, c: float) -> float:

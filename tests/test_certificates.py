@@ -18,7 +18,7 @@ from heatloc.certificates import (
     verify_soft_conditions,
     verify_soft_stable_inequality,
 )
-from heatloc.field import SparseMeasure, add_noise, kernel_peak, tensor_points
+from heatloc.field import SparseMeasure, add_noise, kernel_matrix, kernel_peak, tensor_points
 from heatloc.operators import (
     DualCertificate,
     MeasurementOperator,
@@ -320,6 +320,39 @@ class TestStreamedSupNorm:
         for c, x in ((1.3, p0), (-0.7, p0), (5.0, corner)):
             assert _sup_bump_error(g, axes, x, lam, c) == sup_bump_error_whole(g, axes, x, lam, c)
 
+    @pytest.mark.parametrize("weights", ["jackson", "zeroed_lines", "zero"])
+    @pytest.mark.parametrize("shape", [(100_003,), (300, 257)])
+    def test_nonzero_weight_sensors_match_all_sensors(self, shape, weights):
+        # the separable factors span only the sensors that carry a weight; the
+        # same product over all 33 sensors per axis adds only exact zeros, so
+        # the two differ by the reordered sums of the products at most
+        g, _, _ = self._certificate(len(shape))
+        n = g.op.samples.grid_axes[0].size
+        rng = np.random.default_rng(13)
+        if weights == "zeroed_lines":
+            W = rng.standard_normal((n,) * len(shape))
+            W[rng.choice(n, 9, replace=False)] = 0.0
+            if len(shape) == 2:
+                W[:, rng.choice(n, 7, replace=False)] = 0.0
+            g = DualCertificate(g.op, W.ravel())
+        elif weights == "zero":
+            g = DualCertificate(g.op, np.zeros(g.op.d))
+        else:
+            # p = 4: the 4p + 1 translates of p0, less the two zero multipliers at each end
+            assert np.count_nonzero(g.weights) == 13 ** len(shape)
+        axes = [np.linspace(-1.4, 1.3, k) for k in shape]
+        assert len(list(g.mesh_blocks(axes))) > 1
+        vals = g.on_mesh(axes)
+        if weights == "zero":
+            assert vals.shape == shape and not np.any(vals)
+            return
+        t = float(g.op.samples.ts[0])
+        F = [kernel_matrix(ga.reshape(-1, 1), t, ax.reshape(-1, 1)) for ga, ax in zip(g.op.samples.grid_axes, axes)]
+        W = g.weights.reshape((n,) * len(shape))
+        dense = F[0].T @ W if len(shape) == 1 else F[0].T @ W @ F[1]
+        atol = g.op.d * np.finfo(float).eps * float(np.max(np.abs(dense)))
+        np.testing.assert_allclose(vals, dense, rtol=0, atol=atol)
+
     @pytest.mark.parametrize("layout", ["two_times_1d", "unsorted_1d", "unsorted_2d"])
     def test_point_by_point_matches_whole_mesh(self, layout):
         rng = np.random.default_rng(11)
@@ -371,7 +404,8 @@ class TestStreamedSupNorm:
 
     def test_1d_memory_stays_bounded(self):
         # configs/certify_1d.json's measure on 2**18 points: building the whole
-        # (33, 2**18) kernel matrix peaks at 268 MiB, 2**16-column slices at 70 MiB
+        # (33, 2**18) kernel matrix peaks at 268 MiB, 2**16-column slices of all
+        # 33 sensors at 70 MiB, slices of the 13 weighted ones in one buffer at 12 MiB
         mu = SparseMeasure(np.array([[-0.22], [0.31]]), [0.5, 0.5])
         cfg = CertConfig(lam=0.0625, m=16, p_jackson=4, dim=1)
         approx = calibrated_certificate(cfg, mu, 0)
@@ -381,7 +415,7 @@ class TestStreamedSupNorm:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 100 * 2**20
+        assert peak < 24 * 2**20
 
 
 class TestRecoveryRadii:

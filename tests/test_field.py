@@ -20,6 +20,8 @@ from heatloc.field import (
     tensor_points,
 )
 
+from oracles import kernel_matrix_temporaries
+
 
 def green(x, t):
     """G(x, t) at displacement(s) ``x`` of shape (n, dim), through the one kernel evaluator."""
@@ -67,6 +69,20 @@ class TestGreenKernel:
             np.testing.assert_array_equal(kernel_matrix(zero, ts, zero[:1])[:, 0], kernel_peak(ts, dim))
             for t in ts:
                 assert green(zero[:1], float(t))[0] == kernel_peak(float(t), dim)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_one_buffer_matches_fresh_temporaries(self, dim):
+        # the in-place kernel runs the same operations in the same order, so
+        # its bits are those of the expression of fresh temporaries
+        rng = np.random.default_rng(5)
+        xs = rng.uniform(-1.0, 1.0, (33, dim))
+        for sensors in (xs, xs[:0]):
+            for pts in (rng.uniform(-1.5, 1.5, (257, dim)), np.empty((0, dim))):
+                for ts in (1 / 32, rng.uniform(0.01, 0.5, len(sensors))):
+                    got = kernel_matrix(sensors, ts, pts)
+                    want = kernel_matrix_temporaries(sensors, ts, pts)
+                    assert got.shape == want.shape == (len(sensors), len(pts))
+                    assert got.tobytes() == want.tobytes()
 
     def test_mass_matches_convention(self):
         # with the 2t exponent convention the total mass is 2**(-dim/2), not 1
