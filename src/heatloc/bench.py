@@ -19,17 +19,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .baseline import Sl0Config, sl0_solve, validate_rho
-from .field import SparseMeasure, _fits_array, _is_count, _is_real, add_noise, kernel_matrix
+from .baseline import baseline_estimate, rho_bounds
+from .field import SparseMeasure, _fits_array, _is_count, _is_real, _rng, add_noise, kernel_matrix
 from .field import evaluate_field  # noqa: F401  perfbench's tracer still wraps this name until ROADMAP item 1
-from .operators import (
-    MeasurementOperator,
-    SampleSet,
-    baseline_matrix,
-    build_dictionary,
-    measure,
-    rho_bounds,
-)
+from .operators import MeasurementOperator, SampleSet, build_dictionary, measure
 from .refinement import INITIAL_POINTS_PER_DIM, CandidateGrid, RecoveryResult, RefinementConfig, run_refinement
 from .solvers import SolverConfig
 
@@ -83,7 +76,6 @@ class ScenarioConfig:
     noise_seed: int = 0
     method: str = "refinement"  # refinement | baseline
     refinement: dict = dc_field(default_factory=dict)
-    sl0: dict = dc_field(default_factory=dict)
 
 
 def _validate(cfg: ScenarioConfig) -> None:
@@ -135,6 +127,8 @@ def _validate(cfg: ScenarioConfig) -> None:
         errs.append(f"method: unknown method {cfg.method!r}")
     if cfg.method == "baseline" and cfg.dim != 1:
         errs.append("method: the baseline is defined for dim = 1 only")
+    elif cfg.method == "baseline" and cfg.n_sensors * cfg.n_times > cfg.grid_size:
+        errs.append("grid_size: the baseline needs at least n_sensors * n_times source grid points")
     if errs:
         raise ConfigError("; ".join(errs))
 
@@ -184,7 +178,8 @@ def load_config(path_or_dict) -> ScenarioConfig:
         _validate(cfg)
     except TypeError as exc:  # a value of the wrong type, such as a scalar domain bound
         raise ConfigError(f"wrong value type: {exc}") from exc
-    _method_config(cfg)
+    if cfg.method == "refinement":
+        _refinement_section(cfg)
     return cfg
 
 
@@ -228,10 +223,6 @@ def lasso_lambda_universal(snr_db: float, op: MeasurementOperator, grid_points, 
     return sigma * colmax * math.sqrt(2.0 * math.log(max(P, 2)))
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-
-
 def build_truth(cfg: ScenarioConfig) -> SparseMeasure:
     """Ground-truth atomic measure per the scenario's source mode and seed."""
     lo = np.asarray(cfg.domain_lo, dtype=float)
@@ -245,9 +236,7 @@ def build_truth(cfg: ScenarioConfig) -> SparseMeasure:
     gen = _rng(cfg.source_seed)
     for _ in range(10_000):
         if cfg.source_mode == "on_grid":
-            delta1 = (hi - lo) / cfg.grid_size
-            idx = gen.integers(0, cfg.grid_size, size=(cfg.s, cfg.dim))
-            pos = lo + idx * delta1
+            pos = _source_grid(cfg, gen.integers(0, cfg.grid_size, size=(cfg.s, cfg.dim)))
         else:
             pos = lo + gen.random((cfg.s, cfg.dim)) * (hi - lo)
         if cfg.s == 1:
@@ -257,6 +246,13 @@ def build_truth(cfg: ScenarioConfig) -> SparseMeasure:
         if d.min() >= cfg.min_separation:
             return SparseMeasure(pos, amps)
     raise ConfigError("min_separation: could not place sources with this separation")
+
+
+def _source_grid(cfg: ScenarioConfig, idx) -> np.ndarray:
+    """Points ``lo + idx * (hi - lo) / grid_size`` of the source grid, for integer ``idx`` (n, dim)."""
+    lo = np.asarray(cfg.domain_lo, dtype=float)
+    hi = np.asarray(cfg.domain_hi, dtype=float)
+    return lo + idx * ((hi - lo) / cfg.grid_size)
 
 
 def _sample_time(cfg: ScenarioConfig) -> tuple[float, float]:
@@ -400,18 +396,13 @@ def _field_rmse(truth: SparseMeasure, estimate: SparseMeasure, cfg: ScenarioConf
     return float(np.sqrt(np.mean(err**2)))
 
 
-def _method_config(cfg: ScenarioConfig) -> RefinementConfig | Sl0Config:
-    """The config of the scenario's method, built from its section.
+def _refinement_section(cfg: ScenarioConfig) -> RefinementConfig:
+    """The refinement config built from the scenario's ``refinement`` section.
 
     A bad key or value is a config error.  ``lasso_lambda`` is the section's
     number, or None where it gives ``"universal"`` or nothing: the penalty
     is resolved by :func:`refinement_config`, as it needs the data.
     """
-    if cfg.method == "baseline":
-        try:
-            return Sl0Config(**cfg.sl0)
-        except (TypeError, ValueError) as exc:  # an unknown key or a value out of range
-            raise ConfigError(f"sl0: {exc}") from exc
     overrides = dict(cfg.refinement)
     lam = overrides.get("lasso_lambda")
     if isinstance(lam, str):
@@ -438,7 +429,7 @@ def refinement_config(cfg: ScenarioConfig, op: MeasurementOperator, b) -> Refine
     ``lasso_lambda`` is None (the equality solve) for a noiseless scenario,
     otherwise the section's number, otherwise the universal rule at ``b``.
     """
-    rcfg = _method_config(cfg)
+    rcfg = _refinement_section(cfg)
     if not _noisy(cfg):
         rcfg.lasso_lambda = None
     elif rcfg.lasso_lambda is None:
@@ -449,22 +440,6 @@ def refinement_config(cfg: ScenarioConfig, op: MeasurementOperator, b) -> Refine
     return rcfg
 
 
-def _run_baseline(cfg: ScenarioConfig, b) -> SparseMeasure:
-    """SL0 estimate on the fixed grid, cut to its ``cfg.s`` largest entries.
-
-    The top-``s`` pick reads the true source count from the scenario: unlike
-    the refinement path, the baseline is told how many sources there are.
-    """
-    length = cfg.domain_hi[0] - cfg.domain_lo[0]
-    delta1 = length / cfg.grid_size
-    delta2 = length / cfg.n_sensors
-    tau, _ = _sample_time(cfg)
-    A = baseline_matrix(cfg.n_sensors, cfg.n_times, cfg.grid_size, tau, delta1, delta2)
-    x = sl0_solve(A, b, _method_config(cfg))
-    top = np.argsort(-np.abs(x))[: cfg.s]
-    return SparseMeasure(A.points[np.sort(top)] + cfg.domain_lo[0], x[np.sort(top)])
-
-
 def run_method(cfg: ScenarioConfig, op: MeasurementOperator, b) -> tuple[SparseMeasure, RecoveryResult | None]:
     """The scenario method's estimate and refinement result (None for the baseline).
 
@@ -472,7 +447,8 @@ def run_method(cfg: ScenarioConfig, op: MeasurementOperator, b) -> tuple[SparseM
     truth (the baseline's top-``s`` pick reads the true count from the config).
     """
     if cfg.method == "baseline":
-        return _run_baseline(cfg, b), None
+        sources = _source_grid(cfg, np.arange(cfg.grid_size).reshape(-1, 1))
+        return baseline_estimate(op.samples, sources, b, cfg.s), None
     result = run_refinement(op, b, refinement_config(cfg, op, b))
     return result.estimate, result
 
@@ -503,7 +479,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
         method=cfg.method,
         dim=cfg.dim,
         rho=float(rho),
-        rho_valid=validate_rho(rho, rho_bounds(cfg.n_sensors, cfg.n_times)),
+        rho_valid=rho in rho_bounds(cfg.n_sensors, cfg.n_times),
         snr_db=cfg.snr_db,
         truth_positions=truth.positions.tolist(),
         truth_amplitudes=truth.amplitudes.tolist(),

@@ -42,8 +42,8 @@ def _read_measurements(path: str) -> np.ndarray:
 
 
 def _write_measurements(path: str, b: np.ndarray) -> None:
-    lines = ["index,value"] + [f"{i},{v:.17g}" for i, v in enumerate(b)]
-    bench._atomic_write(path, "\n".join(lines) + "\n")
+    table = np.column_stack([np.arange(b.size), b])
+    bench._atomic_write(path, bench._csv_text(["index", "value"], table))
 
 
 def _load_one(args) -> bench.ScenarioConfig:

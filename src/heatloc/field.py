@@ -165,9 +165,14 @@ def evaluate_field(mu: SparseMeasure, x, t: float):
     return float(vals[0]) if single else vals
 
 
+def _rng(seed: int) -> np.random.Generator:
+    """The one random stream of a seed: a Philox counter generator keyed by it."""
+    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+
+
 def _standard_normal(n: int, seed: int) -> np.ndarray:
     """n deterministic N(0,1) draws: Box-Muller over a Philox counter stream."""
-    gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    gen = _rng(seed)
     m = (n + 1) // 2
     u1 = gen.random(m)
     u2 = gen.random(m)

@@ -21,13 +21,10 @@ __all__ = [
     "MeasurementOperator",
     "DictionaryMatrix",
     "DualCertificate",
-    "RhoBounds",
     "measure",
     "certificate_eval",
     "certificate_gradient",
     "build_dictionary",
-    "baseline_matrix",
-    "rho_bounds",
 ]
 
 # Most values in a block of DualCertificate.mesh_blocks: 2**16 float64, 512 KiB,
@@ -248,58 +245,3 @@ def build_dictionary(op: MeasurementOperator, grid) -> DictionaryMatrix:
         raise ValueError("candidate grid must be non-empty")
     entries = kernel_matrix(op.samples.xs, op.samples.ts, pts)
     return DictionaryMatrix(entries, pts)
-
-
-def baseline_matrix(
-    n_sensors: int,
-    n_times: int,
-    grid_size: int,
-    tau: float,
-    delta1: float,
-    delta2: float,
-) -> DictionaryMatrix:
-    """Fixed-grid discrete sensing matrix of the comparison method.
-
-    Sub-matrix for time index l has entries
-    (4*pi*l*tau)**(-1/2) * exp(-(n*delta2 - m*delta1)**2 / (4*l*tau)),
-    l = 1..n_times, stacked time-major.  Note the exponent denominator is
-    ``4*l*tau`` here, unlike the ``2*t`` convention of the continuous model;
-    the two conventions are deliberately kept distinct.
-    """
-    if n_sensors < 1 or n_times < 1 or grid_size < 1:
-        raise ValueError("all counts must be >= 1")
-    if tau <= 0 or delta1 <= 0 or delta2 <= 0:
-        raise ValueError("tau, delta1, delta2 must be positive")
-    sensors = np.arange(n_sensors) * delta2
-    sources = np.arange(grid_size) * delta1
-    diff2 = (sensors[:, None] - sources[None, :]) ** 2
-    blocks = []
-    for ell in range(1, n_times + 1):
-        t = ell * tau
-        blocks.append((4.0 * math.pi * t) ** -0.5 * np.exp(-diff2 / (4.0 * t)))
-    return DictionaryMatrix(np.vstack(blocks), sources.reshape(-1, 1))
-
-
-@dataclass(frozen=True)
-class RhoBounds:
-    """Sampling-density interval inside which the baseline matrix is claimed usable."""
-
-    rho_min: float
-    rho_max: float
-
-    @property
-    def valid(self) -> bool:
-        return self.rho_min < self.rho_max
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.rho_min + self.rho_max)
-
-
-def rho_bounds(n_sensors: int, n_times: int) -> RhoBounds:
-    """Bounds (1/(2*N_t), (N_s-1)**2/(72*N_t)) on rho = tau / delta2**2."""
-    if n_sensors < 2:
-        raise ValueError("need at least two sensors for a non-degenerate upper bound")
-    if n_times < 1:
-        raise ValueError("need at least one time sample")
-    return RhoBounds(1.0 / (2.0 * n_times), (n_sensors - 1) ** 2 / (72.0 * n_times))

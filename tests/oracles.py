@@ -7,7 +7,7 @@ from scipy.optimize import least_squares, linprog, minimize
 
 from heatloc.certificates import _bump
 from heatloc.field import SparseMeasure, kernel_matrix, kernel_peak, tensor_points
-from heatloc.operators import DualCertificate, build_dictionary, measure
+from heatloc.operators import DictionaryMatrix, DualCertificate, build_dictionary, measure
 from heatloc.refinement import (
     _GAP_TOL,
     _KEY_DECIMALS,
@@ -412,3 +412,22 @@ def sup_bump_error_whole(g: DualCertificate, axes, p0, lam: float, c: float) -> 
     factors = [_bump((ax - x) ** 2, lam) for ax, x in zip(axes, p0)]
     outer = factors[0] if len(factors) == 1 else np.outer(factors[0], factors[1])
     return float(np.max(np.abs(on_mesh_whole(g, axes) - c * outer)))
+
+
+def baseline_matrix_counts(
+    n_sensors: int, n_times: int, grid_size: int, tau: float, delta1: float, delta2: float
+) -> DictionaryMatrix:
+    """The comparison method's sensing matrix built from counts and spacings.
+
+    Sensors k*delta2, sources m*delta1 and times l*tau, l = 1..n_times, all
+    measured from 0: entries (4*pi*t)**(-1/2) * exp(-(k*delta2 - m*delta1)**2 / (4*t)),
+    stacked time-major.
+    """
+    sensors = np.arange(n_sensors) * delta2
+    sources = np.arange(grid_size) * delta1
+    diff2 = (sensors[:, None] - sources[None, :]) ** 2
+    blocks = []
+    for ell in range(1, n_times + 1):
+        t = ell * tau
+        blocks.append((4.0 * math.pi * t) ** -0.5 * np.exp(-diff2 / (4.0 * t)))
+    return DictionaryMatrix(np.vstack(blocks), sources.reshape(-1, 1))

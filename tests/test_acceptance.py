@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from heatloc.baseline import Sl0Config, sl0_solve
+from heatloc.baseline import baseline_matrix, rho_bounds, sl0_solve
 from heatloc.bench import (
     ScenarioConfig,
     emit_results,
@@ -34,10 +34,8 @@ from heatloc.field import SparseMeasure, add_noise
 from heatloc.operators import (
     MeasurementOperator,
     SampleSet,
-    baseline_matrix,
     build_dictionary,
     measure,
-    rho_bounds,
 )
 from heatloc.refinement import RefinementConfig, recover_amplitudes, run_refinement
 from heatloc.solvers import SolverConfig, solve_l1_equality, solve_lasso
@@ -220,8 +218,8 @@ def test_baseline_contrast_rho_violation():
     truth = SparseMeasure.from_1d(REFERENCE_POSITIONS, [1.0, 1.0, 1.0])
     op = MeasurementOperator(SampleSet.grid([np.arange(16) * (L / 16)], [tau]))
     b = add_noise(measure(op, truth), 40.0, 1)
-    A = baseline_matrix(16, 1, 128, tau, L / 128, delta2)
-    x = sl0_solve(A, b, Sl0Config())
+    A = baseline_matrix(op.samples, np.arange(128) * (L / 128))
+    x = sl0_solve(A, b)
     cell = L / 128
     top = np.argsort(-np.abs(x))[:3]
     overshoot = float(np.max(np.abs(x)))  # true amplitude scale is 1

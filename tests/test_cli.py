@@ -136,6 +136,7 @@ class TestCli:
             ({"s": "3"}, None),
             ({"domain_lo": 0.0}, None),
             ({"refinement": {"solver": {"max_iters": 0}}}, None),
+            # every sl0 case is an unknown key: the SL0 settings are constants
             ({"method": "baseline", "sl0": {"step_mu": -1}}, None),
             ({"method": "baseline", "sl0": {"bogus": 1}}, None),
             # every initial_points_per_dim case is an unknown key: the start grid is a constant
@@ -192,6 +193,7 @@ class TestCli:
             ({"source_mode": "off_grid", "min_separation": "a"}, None),
             ({"source_mode": "off_grid", "min_separation": math.nan}, None),
             ({"source_mode": "off_grid", "min_separation": -1.0}, None),
+            ({"method": "baseline", "grid_size": 8}, None),
         ],
         ids=[
             "malformed_json", "json_list", "string_count", "scalar_domain",
@@ -214,6 +216,7 @@ class TestCli:
             "unaddressable_sensor_count", "unaddressable_time_count", "unaddressable_initial_points",
             "unallocatable_sensor_count",
             "string_min_separation", "nan_min_separation", "negative_min_separation",
+            "baseline_more_samples_than_grid_points",
         ],
     )
     def test_bad_inputs_are_config_errors(self, tmp_path, capsys, config, measurements):

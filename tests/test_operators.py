@@ -8,12 +8,10 @@ from heatloc.operators import (
     DualCertificate,
     MeasurementOperator,
     SampleSet,
-    baseline_matrix,
     build_dictionary,
     certificate_eval,
     certificate_gradient,
     measure,
-    rho_bounds,
 )
 
 
@@ -228,44 +226,3 @@ class TestDictionary:
             mid = cols.shape[1] // 2
             coh.append(float(cols[:, mid] @ cols[:, mid + 1]))
         assert coh[0] < coh[1] < coh[2] < 1.0
-
-
-class TestBaselineMatrix:
-    def test_zero_displacement_entry(self):
-        A = baseline_matrix(4, 1, 4, tau=0.3, delta1=0.5, delta2=0.5)
-        assert A.entries[0, 0] == pytest.approx((4 * math.pi * 0.3) ** -0.5)
-
-    def test_stacked_shape(self):
-        A = baseline_matrix(16, 3, 128, tau=0.2, delta1=0.1, delta2=0.4)
-        assert A.shape == (48, 128)
-
-    def test_symmetric_toeplitz_when_grids_match(self):
-        A = baseline_matrix(6, 1, 6, tau=0.7, delta1=0.3, delta2=0.3).entries
-        for k in range(6):
-            diag = np.diagonal(A, offset=k)
-            assert np.ptp(diag) == 0.0
-            np.testing.assert_array_equal(diag, np.diagonal(A, offset=-k))
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            baseline_matrix(0, 1, 4, 0.1, 0.1, 0.1)
-        with pytest.raises(ValueError):
-            baseline_matrix(4, 1, 4, -0.1, 0.1, 0.1)
-
-
-class TestRhoBounds:
-    def test_reference_values(self):
-        rb = rho_bounds(16, 1)
-        assert rb.rho_min == 0.5
-        assert rb.rho_max == pytest.approx(3.125)
-        assert rb.midpoint == pytest.approx(1.8125)
-        assert rb.valid
-
-    def test_degenerate_interval_flagged(self):
-        rb = rho_bounds(2, 1)
-        assert rb.rho_min == 0.5 and rb.rho_max == pytest.approx(1 / 72)
-        assert not rb.valid
-
-    def test_rejects_single_sensor(self):
-        with pytest.raises(ValueError):
-            rho_bounds(1, 1)
