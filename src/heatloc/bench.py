@@ -92,6 +92,9 @@ def _validate(cfg: ScenarioConfig) -> None:
     if not_finite:
         raise ConfigError(f"{', '.join(not_finite)}: must be finite numbers")
     errs = []
+    # the name is the scenario's output directory under --out
+    if not isinstance(cfg.name, str) or cfg.name in ("", ".", "..") or any(c in cfg.name for c in "/\\\0"):
+        errs.append(f"name: must be one plain path component (no /, \\ or NUL; not . or ..), got {cfg.name!r}")
     if cfg.dim not in (1, 2):
         errs.append(f"dim: must be 1 or 2, got {cfg.dim}")
     if len(cfg.domain_lo) != cfg.dim or len(cfg.domain_hi) != cfg.dim:
@@ -186,7 +189,8 @@ def load_config(path_or_dict) -> ScenarioConfig:
 def load_configs(path, seed: int | None = None) -> list[ScenarioConfig]:
     """The scenarios of a JSON config file: the file itself, or one per ``sweep`` entry.
 
-    Each ``sweep`` entry overrides fields of the rest of the file.  A ``seed``
+    Each ``sweep`` entry overrides fields of the rest of the file, and the
+    scenarios' names, their output directories, must differ.  A ``seed``
     replaces every scenario's source and noise seeds.
     """
     raw = _read_json_object(path)
@@ -196,7 +200,12 @@ def load_configs(path, seed: int | None = None) -> list[ScenarioConfig]:
     docs = [raw | override for override in sweep]
     if seed is not None:
         docs = [doc | {"source_seed": seed, "noise_seed": seed} for doc in docs]
-    return [load_config(doc) for doc in docs]
+    configs = [load_config(doc) for doc in docs]
+    names = [cfg.name for cfg in configs]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ConfigError(f"sweep: scenario names must be unique, repeated: {repeated}")
+    return configs
 
 
 def _json_text(doc) -> str:

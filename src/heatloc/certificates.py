@@ -34,7 +34,7 @@ from .operators import (
     MeasurementOperator,
     SampleSet,
 )
-from .solvers import _lasso_path
+from .solvers import l1_ball_least_squares
 
 __all__ = [
     "CertConfig",
@@ -415,20 +415,6 @@ def noisy_recovery_radius(
     return math.sqrt(4.0 * lam * math.log(1.0 / min(level, 1.0)))
 
 
-def _l1_ball_least_squares(
-    E: np.ndarray, b: np.ndarray, radius: float, max_iters: int = 200_000
-) -> tuple[np.ndarray, bool]:
-    """min |E x - b|_2 s.t. |x|_1 <= radius, exactly, as a point of the LASSO path.
-
-    The minimizer is the LASSO solution at the penalty where its l1 norm
-    reaches ``radius``; when the penalty reaches zero first, the constraint
-    is inactive and the end of the path is the minimizer.  ``max_iters``
-    caps the path steps; the flag is False only when that cap is hit.
-    """
-    x, _, _, solved = _lasso_path(E, b, 0.0, radius, max_iters)
-    return x, solved
-
-
 def verify_soft_stable_inequality(
     A: DictionaryMatrix,
     b: np.ndarray,
@@ -451,7 +437,7 @@ def verify_soft_stable_inequality(
     _check_width(lam)
     _check_noise(eps, rho)
     b = np.asarray(b, dtype=float)
-    x, ok = _l1_ball_least_squares(A.entries, b, rho, max_iters=max_iters)
+    x, ok = l1_ball_least_squares(A, b, rho, max_iters=max_iters)
     if not ok:
         return None
     rhs = (rho * report.tau - 2.0 * report.weight_norm * eps + 1.0 - rho) / (rho * report.sigma)
@@ -473,14 +459,15 @@ def smallest_feasible_m(
 ) -> tuple[int, CertificateReport] | None:
     """First m in ``m_values`` whose calibrated certificate is feasible.
 
-    The kernel order is ``CertConfig``'s default, max(1, m // 4).
+    The kernel order is ``CertConfig``'s default, max(1, m // 4), and the
+    conditions are verified on its ``mesh_points`` per axis.
     """
     for m in sorted(m_values):
         try:
             cfg = CertConfig(lam=lam, m=int(m), dim=mu0.dim, **cert_kwargs)
             approx = calibrated_certificate(cfg, mu0, i0)
             report = verify_soft_conditions(
-                approx.certificate, mu0, i0, lam, coeff_norm=approx.coeff_norm
+                approx.certificate, mu0, i0, lam, coeff_norm=approx.coeff_norm, mesh_points=cfg.mesh_points
             )
         except ValueError:
             continue

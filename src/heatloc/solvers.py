@@ -1,23 +1,25 @@
 """Solvers for the discretized sparse recovery problems.
 
-All of them run one exact path follower: the LASSO solution is piecewise
-linear in the penalty, and an active-set homotopy follows it from zero
-downward (every step is a linear solve of the size of the active set, which
-in general position is at most the number of rows of A).
+All of them follow the LASSO solution path exactly: it is piecewise linear
+in the penalty, and an active-set homotopy follows it (every step is a
+linear solve of the size of the active set, which in general position is at
+most the number of rows of A).  One loop, :func:`_follow_path`, follows
+every path; the callers differ only in where it starts, how its bound
+moves and where it stops.
 
-* unconstrained LASSO:        min 0.5*|A x - b|^2 + lam*|x|_1,
-  whose dual vector is read off as  p = (b - A x) / lam;
-  the path is followed down to lam.
-* equality-constrained l1:   min |x|_1  s.t.  A x = b,
-  whose dual is               max <b, p>  s.t.  |A^T p|_inf <= 1,
+* unconstrained LASSO (:func:`solve_lasso`):
+  min 0.5*|A x - b|^2 + lam*|x|_1, whose dual vector is read off as
+  p = (b - A x) / lam; the path is followed down to lam.
+* equality-constrained l1 (:func:`solve_l1_equality`):
+  min |x|_1 s.t. A x = b, whose dual is max <b, p> s.t. |A^T p|_inf <= 1,
   taken as the small-penalty limit of the LASSO: the path is followed down
   to the scale-free penalty  1e-6 * max|A^T b|  and its LASSO dual, feasible
   by construction, is reported.  Where the path's support interpolates b
   exactly without opposing the path's signs, that interpolant is the
   minimum-l1 solution and is returned as the primal.
-* l1-ball least squares:      min |A x - b|  s.t.  |x|_1 <= rho,
-  used by the certificate lab's noisy check: the same path stopped where
-  |x|_1 reaches rho.
+* l1-ball least squares (:func:`l1_ball_least_squares`):
+  min |A x - b| s.t. |x|_1 <= rho, the TV-ball program of the certificate
+  lab's noisy check: the path from zero stopped where |x|_1 reaches rho.
 
 The LASSO and equality solves can also start from a nearby solution, such
 as the previous refinement round's primal padded with zeros, and follow a
@@ -26,18 +28,14 @@ homotopy, :func:`_warm_path`): about one step per support change instead
 of one per breakpoint below max|A^T b|.  When the warm path stops early (at
 its step cap, or at the rank guard that keeps its active set within the
 rows of A) or its end fails the KKT test, the cold path runs from zero.  A
-single warm path can still run longer than the cold one.  The l1-ball
-solve always starts from zero.  Each path sets numpy's error state once: its
-breakpoint search divides by every rate and masks the quotients of rates
-that do not approach.
+single warm path can still run longer than the cold one.
 
-Along each linear segment a path carries its correlations A^T (b - A x)
-forward with the rate it already computed for the breakpoint search, as
-LARS does, instead of recomputing them from x: one (d, P) matrix product
-per step instead of three.  Where a path reaches its penalty, the last
-segment's stationarity system is re-solved exactly and the KKT test reads
-correlations recomputed from the returned point, which clears the rounding
-the carried values accumulate.
+A path carries its correlations along each segment, as LARS does, instead
+of recomputing them from x: one (d, P) matrix product per step instead of
+three.  Where a path reaches its penalty, the last segment's stationarity
+system is re-solved exactly and the KKT test reads correlations recomputed
+from the returned point, which clears the rounding the carried values
+accumulate.
 
 Outcomes carry the primal, the dual vector in the convention above, and
 KKT residuals including a duality gap evaluated at a feasibility-rescaled
@@ -59,6 +57,7 @@ __all__ = [
     "SolveOutcome",
     "solve_l1_equality",
     "solve_lasso",
+    "l1_ball_least_squares",
 ]
 
 _SUPPORT_EPS = 1e-6  # relative threshold defining the support for sign alignment
@@ -167,64 +166,80 @@ def _next_breakpoint(q, dq, bound, dbound, active, signs, x_act, w, step, banned
     return step, join, leave
 
 
-def _lasso_path(mat: np.ndarray, b: np.ndarray, lam: float, radius: float, max_steps: int):
-    """Follow the LASSO solution path from ``max|A^T b|`` down to penalty ``lam``.
+def _follow_path(mat, x, q, active, dv, bound, pos, end, tie, radius, cap, max_steps):
+    """Follow a linear homotopy of the LASSO optimality conditions as ``pos`` rises to ``end``.
 
-    Exact active-set homotopy (Osborne, Presnell & Turlach 2000; the LASSO
-    variant of LARS, Efron et al. 2004): the solution is piecewise linear in
-    the penalty and zero above ``max|A^T b|``.  Each step moves the penalty to
-    the next breakpoint (:func:`_next_breakpoint`), where a column joins the
-    active set or an active coefficient crosses zero and leaves it; in
-    general position the active set never exceeds the rank of A, so every
-    step is a small linear solve.  The correlations A^T (b - A x) are
-    carried: a step of length s lowers them by s times their rate u.
-
-    The path also stops where |x|_1, which never decreases along it, reaches
-    ``radius``: inside the last linear segment |x|_1 moves at the rate
-    sum(signs * w), so that point is hit exactly.  A penalty below
-    ``_TIE_EPS * max|A^T b|`` counts as the end of the path: once the active
-    columns span the range of A, every correlation ties at zero penalty and
-    rounding alone picks the breakpoints.  Returns ``(x, active, steps,
-    done)``: the path point, its active columns, the steps taken, and whether
-    a stop was reached within ``max_steps``.
+    On the active set S the effective correlations q = A^T (b - A x) + v
+    stay at +-(b0 + db * pos), with ``bound = (b0, db)`` and v moving at
+    ``dv`` per unit of ``pos``.  So on S the coefficients move at
+    w = G_SS^-1 (dv_S - db * sign(q_S)), G = A^T A, and q moves at
+    dv - A^T A_S w, the rate it is carried at.  Each step goes to the next
+    breakpoint (:func:`_next_breakpoint`, under one numpy error state), where
+    a column joins S or an active coefficient crosses zero and leaves it; a
+    column that just left may not re-enter within
+    ``_TIE_EPS * (t0 + t1 * pos)``, ``tie = (t0, t1)``.  The path also stops
+    where |x|_1 reaches ``radius``: inside a segment |x|_1 moves at
+    sum(sign(q_S) * w), so that point is hit exactly.  A join that would grow
+    S past ``cap`` columns stops it short of ``end``.  Returns ``(x, active,
+    steps, done)``: the path point, its active columns, the steps taken, and
+    whether ``end`` or the radius was reached within ``max_steps``.  ``x``,
+    ``q`` and ``active`` are updated in place.
     """
-    P = mat.shape[1]
-    x = np.zeros(P)
-    corr = mat.T @ b
-    level = float(np.max(np.abs(corr))) if P else 0.0  # current penalty on the path
-    lam = max(lam, _TIE_EPS * level)
-    active: list[int] = []
-    banned = -1  # a column that just left may not re-enter at the same breakpoint
-    if level > lam:
-        active.append(int(np.argmax(np.abs(corr))))
-    steps = 0
+    (b0, db), (t0, t1) = bound, tie
+    steps, banned = 0, -1
     with np.errstate(divide="ignore", invalid="ignore"):
-        while level > lam and steps < max_steps:
+        while pos < end and steps < max_steps:
             steps += 1
             act = np.array(active, dtype=np.intp)
             sub = mat[:, act]
-            signs = np.sign(corr[act])
-            w = _gram_solve(sub, signs)
-            u = mat.T @ (sub @ w)  # rate of change of the correlations per unit step
+            signs = np.sign(q[act])
+            w = _gram_solve(sub, dv[act] - db * signs)
+            dq = dv - mat.T @ (sub @ w)
             x_act = x[act]
             step, join, leave = _next_breakpoint(
-                corr, -u, level, -1.0, act, signs, x_act, w, level - lam, banned, _TIE_EPS * level
+                q, dq, b0 + db * pos, db, act, signs, x_act, w, end - pos, banned, _TIE_EPS * (t0 + t1 * pos)
             )
-            if radius < math.inf:
+            if radius < math.inf:  # an infinite radius never stops the path: skip its two reductions
                 l1, growth = float(signs @ x_act), float(np.sum(signs * w))
                 if growth > 0.0 and l1 + step * growth >= radius:
                     x[act] = x_act + (radius - l1) / growth * w
                     return x, active, steps, True
             x[act] = x_act + step * w
-            level = lam if join < 0 and leave < 0 else level - step
+            pos = end if join < 0 and leave < 0 else pos + step
+            q += step * dq
             banned = -1
             if leave >= 0:
                 banned = active.pop(leave)
                 x[banned] = 0.0
             elif join >= 0:
+                if len(active) == cap:
+                    return x, active, steps, False
                 active.append(join)
-            corr -= step * u
-    return x, active, steps, level <= lam
+    return x, active, steps, pos >= end
+
+
+def _lasso_path(mat: np.ndarray, b: np.ndarray, lam: float, radius: float, max_steps: int):
+    """Follow the LASSO solution path from ``max|A^T b|`` down to penalty ``lam``.
+
+    Exact active-set homotopy (Osborne, Presnell & Turlach 2000; the LASSO
+    variant of LARS, Efron et al. 2004): the solution is zero above
+    ``max|A^T b|`` and piecewise linear in the penalty below it.  In
+    :func:`_follow_path` terms, v = 0 and ``pos`` is minus the penalty,
+    which is the bound.  The path also stops where |x|_1, which never
+    decreases along it, reaches ``radius``.  A penalty below
+    ``_TIE_EPS * max|A^T b|`` counts as the end of the path: once the active
+    columns span the range of A, every correlation ties at zero penalty and
+    rounding alone picks the breakpoints.  Returns ``(x, active, steps,
+    done)`` as :func:`_follow_path` does.
+    """
+    P = mat.shape[1]
+    corr = mat.T @ b
+    level = float(np.max(np.abs(corr))) if P else 0.0
+    lam = max(lam, _TIE_EPS * level)
+    active = [int(np.argmax(np.abs(corr)))] if level > lam else []
+    return _follow_path(
+        mat, np.zeros(P), corr, active, np.zeros(P), (0.0, -1.0), -level, -lam, (0.0, -1.0), radius, P, max_steps
+    )
 
 
 def _warm_path(mat: np.ndarray, b: np.ndarray, lam: float, start: np.ndarray, max_steps: int):
@@ -237,15 +252,11 @@ def _warm_path(mat: np.ndarray, b: np.ndarray, lam: float, start: np.ndarray, ma
     support of x0 and c/lam where |c| <= lam; where |c| > lam it is 0, so
     the columns that break the KKT conditions at x0 start strictly inside
     the bound (started on it, at z = +-1, they fill the active set up to the
-    rank guard below within a few steps).  On the active set S the effective
-    correlations q = A^T (b - A x) + (1 - eps) * u stay at +-lam, so x_S
-    moves at w = -G_SS^-1 u_S and q at -A^T A_S w - u per unit of eps; the
-    breakpoints follow the same rules as :func:`_lasso_path`, and q is
-    carried along each segment at that rate.
-
-    Returns ``(x, active, steps, done)`` like :func:`_lasso_path`; ``done``
-    is False when the step budget ran out or a join would grow the active
-    set past the d rows of A, the general-position bound.
+    rank guard below within a few steps).  In :func:`_follow_path` terms,
+    ``pos`` is eps, v = (1 - eps) * u and the bound is lam.  Returns ``(x,
+    active, steps, done)`` like :func:`_lasso_path`; ``done`` is False when
+    the step budget ran out or a join would grow the active set past the d
+    rows of A, the general-position bound.
     """
     d = mat.shape[0]
     x = np.array(start, dtype=float)
@@ -256,31 +267,7 @@ def _warm_path(mat: np.ndarray, b: np.ndarray, lam: float, start: np.ndarray, ma
     z = np.where(np.abs(c) <= lam, c / lam, 0.0)
     z[active] = np.sign(x[active])
     u = lam * z - c
-    q = c + u
-    eps, steps, banned = 0.0, 0, -1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while eps < 1.0 and steps < max_steps:
-            steps += 1
-            act = np.array(active, dtype=np.intp)
-            sub = mat[:, act]
-            w = -_gram_solve(sub, u[act])
-            dq = -(mat.T @ (sub @ w)) - u
-            x_act = x[act]
-            step, join, leave = _next_breakpoint(
-                q, dq, lam, 0.0, act, np.sign(q[act]), x_act, w, 1.0 - eps, banned, _TIE_EPS
-            )
-            x[act] = x_act + step * w
-            eps = 1.0 if join < 0 and leave < 0 else eps + step
-            q += step * dq
-            banned = -1
-            if leave >= 0:
-                banned = active.pop(leave)
-                x[banned] = 0.0
-            elif join >= 0:
-                if len(active) == d:
-                    return x, active, steps, False
-                active.append(join)
-    return x, active, steps, eps >= 1.0
+    return _follow_path(mat, x, c + u, active, -u, (lam, 0.0), 0.0, 1.0, (1.0, 0.0), math.inf, d, max_steps)
 
 
 def _lasso_point(mat: np.ndarray, b: np.ndarray, lam: float, cfg: SolverConfig, start=None):
@@ -422,3 +409,15 @@ def solve_l1_equality(A, b, cfg: SolverConfig | None = None, start=None) -> Solv
     return SolveOutcome(
         x, p, kkt, iterations=steps, converged=converged, objective=obj, dual_objective=dual_obj
     )
+
+
+def l1_ball_least_squares(A, b, radius: float, max_iters: int = 200_000) -> tuple[np.ndarray, bool]:
+    """min |A x - b|_2 s.t. |x|_1 <= radius, exactly, as a point of the LASSO path.
+
+    The minimizer is the LASSO solution at the penalty where its l1 norm
+    reaches ``radius``; when the penalty reaches zero first, the constraint
+    is inactive and the end of the path is the minimizer.  ``max_iters``
+    caps the path steps; the flag is False only when that cap is hit.
+    """
+    x, _, _, solved = _lasso_path(_entries(A), b, 0.0, radius, max_iters)
+    return x, solved

@@ -28,7 +28,6 @@ from heatloc.certificates import (
     recovery_radius,
     smallest_feasible_m,
     verify_soft_conditions,
-    _l1_ball_least_squares,
 )
 from heatloc.field import SparseMeasure, add_noise
 from heatloc.operators import (
@@ -38,7 +37,7 @@ from heatloc.operators import (
     measure,
 )
 from heatloc.refinement import RefinementConfig, recover_amplitudes, run_refinement
-from heatloc.solvers import SolverConfig, solve_l1_equality, solve_lasso
+from heatloc.solvers import SolverConfig, l1_ball_least_squares, solve_l1_equality, solve_lasso
 
 from oracles import (
     lasso_coordinate_descent,
@@ -429,7 +428,7 @@ def test_theory_practice_consistency():
         rho = 1.05
         grid = np.linspace(-1, 1, 257).reshape(-1, 1)
         A = build_dictionary(op, grid)
-        x, solved = _l1_ball_least_squares(A.entries, b_noisy, rho)
+        x, solved = l1_ball_least_squares(A.entries, b_noisy, rho)
         assert solved, f"TV-ball solve hit its step cap (s={mu.n_atoms})"
         supp = np.abs(x) > 1e-6 * np.max(np.abs(x))
         support_pos = grid[supp].ravel()

@@ -4,10 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from heatloc import certificates
 from heatloc.certificates import (
     CertConfig,
     _jackson_multiplier,
-    _l1_ball_least_squares,
     _sup_bump_error,
     build_certificate_g,
     calibrated_certificate,
@@ -26,6 +26,7 @@ from heatloc.operators import (
     build_dictionary,
     measure,
 )
+from heatloc.solvers import l1_ball_least_squares
 
 from oracles import (
     jackson_multiplier_quadrature,
@@ -208,6 +209,19 @@ class TestVerifySoftConditions:
         m, report = found
         assert report.feasible
         assert report.tau / report.sigma >= 0.5
+
+    def test_smallest_feasible_m_verifies_on_the_given_mesh(self, monkeypatch):
+        seen = []
+        real = certificates.verify_soft_conditions
+
+        def record(*args, **kwargs):
+            seen.append(kwargs.get("mesh_points"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(certificates, "verify_soft_conditions", record)
+        mu = SparseMeasure(np.array([[0.21, -0.13]]), [1.0])
+        assert smallest_feasible_m(1 / 16, mu, 0, [4, 8], mesh_points=256) is not None
+        assert seen and set(seen) == {256}
 
     def test_three_separated_sources(self):
         lam = 0.002  # pairwise separation 0.45 >= 10*sqrt(lam)
@@ -483,7 +497,7 @@ class TestL1BallLeastSquares:
             b = rng.standard_normal(12)
             # below the least l1 norm of an interpolant, the ball binds
             rho = rng.uniform(0.2, 0.9) * float(np.sum(np.abs(min_l1_equality_lp(A, b))))
-            x, solved = _l1_ball_least_squares(A, b, rho)
+            x, solved = l1_ball_least_squares(A, b, rho)
             assert solved
             assert abs(float(np.sum(np.abs(x))) - rho) <= 1e-9
             # x is the LASSO minimizer at the penalty its residual correlations set
@@ -500,7 +514,7 @@ class TestL1BallLeastSquares:
         A = rng.standard_normal((12, 40))
         b = rng.standard_normal(12)
         rho = 2.0 * float(np.sum(np.abs(min_l1_equality_lp(A, b))))
-        x, solved = _l1_ball_least_squares(A, b, rho)
+        x, solved = l1_ball_least_squares(A, b, rho)
         assert solved
         assert float(np.sum(np.abs(x))) < rho
         assert np.linalg.norm(A @ x - b) <= 1e-8 * np.linalg.norm(b)
@@ -510,7 +524,7 @@ class TestL1BallLeastSquares:
         A = rng.standard_normal((12, 40))
         b = rng.standard_normal(12)
         rho = 0.5 * float(np.sum(np.abs(min_l1_equality_lp(A, b))))
-        _, solved = _l1_ball_least_squares(A, b, rho, max_iters=2)
+        _, solved = l1_ball_least_squares(A, b, rho, max_iters=2)
         assert not solved
 
 

@@ -194,6 +194,16 @@ class TestCli:
             ({"source_mode": "off_grid", "min_separation": math.nan}, None),
             ({"source_mode": "off_grid", "min_separation": -1.0}, None),
             ({"method": "baseline", "grid_size": 8}, None),
+            ({"sweep": [{"name": "a"}, {"name": "a"}]}, None),
+            ({"sweep": [{"snr_db": 30.0}, {"snr_db": 20.0}]}, None),
+            ({"name": "../escaped"}, None),
+            ({"name": "a/b"}, None),
+            ({"name": "a\\b"}, None),
+            ({"name": "a\0b"}, None),
+            ({"name": ""}, None),
+            ({"name": "."}, None),
+            ({"name": ".."}, None),
+            ({"name": 5}, None),
         ],
         ids=[
             "malformed_json", "json_list", "string_count", "scalar_domain",
@@ -217,6 +227,8 @@ class TestCli:
             "unallocatable_sensor_count",
             "string_min_separation", "nan_min_separation", "negative_min_separation",
             "baseline_more_samples_than_grid_points",
+            "repeated_sweep_name", "sweep_inheriting_one_name", "parent_dir_name", "slash_name",
+            "backslash_name", "nul_name", "empty_name", "dot_name", "dot_dot_name", "non_string_name",
         ],
     )
     def test_bad_inputs_are_config_errors(self, tmp_path, capsys, config, measurements):

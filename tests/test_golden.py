@@ -1,14 +1,16 @@
 """Golden outputs: the shipped configs, rerun through the CLI, against stored files.
 
 ``tests/golden/bench/<config>/`` holds every ``heatloc bench`` output of
-``configs/<config>.json`` except the ``run_meta.json`` timing sidecar, and
-``tests/golden/certify/<config>/`` the ``heatloc certify`` outputs.  Strings,
+``configs/<config>.json`` except the ``run_meta.json`` timing sidecar,
+``tests/golden/certify/<config>/`` the ``heatloc certify`` outputs, and
+``tests/golden/solve/<config>/`` the ``measurements.csv`` of ``heatloc
+simulate`` and the ``estimate.json`` that ``heatloc solve`` makes of it.  Strings,
 integers, booleans, nulls and the structure of each file must be equal;
 floats must agree to ``RTOL`` relative, or ``ATOL`` absolute where both are
 below it (round-off of order-one quantities, such as a KKT residual of
 1e-15).  The largest difference is printed either way.  To regenerate a
 directory after an intended change of output, run the CLI command on the
-config with ``--out`` at it and delete ``run_meta.json``.
+config with ``--out`` at it and delete the files not stored.
 """
 
 import json
@@ -62,6 +64,20 @@ def _csv_gap(gold: str, new: str, where: str) -> float:
     return gap
 
 
+def _assert_match(gold_dir: pathlib.Path, new_dir: pathlib.Path, files: list, label: str) -> None:
+    """Every file in ``files`` under ``new_dir`` matches its copy under ``gold_dir``."""
+    gaps = {}
+    for rel in files:
+        gold, new = (gold_dir / rel).read_text(), (new_dir / rel).read_text()
+        if rel.suffix == ".json":
+            gaps[str(rel)] = _json_gap(json.loads(gold), json.loads(new), str(rel))
+        else:
+            gaps[str(rel)] = _csv_gap(gold, new, str(rel))
+    worst = max(gaps, key=gaps.get)
+    print(f"{label}: largest relative float difference {gaps[worst]:.3g} in {worst}")
+    assert gaps[worst] <= RTOL, f"{worst}: relative float difference {gaps[worst]:.3g} exceeds {RTOL:g}"
+
+
 @pytest.mark.parametrize(
     "command, config",
     [("bench", p.name) for p in sorted((GOLDEN / "bench").iterdir())]
@@ -76,13 +92,14 @@ def test_outputs_match_golden(tmp_path, command, config):
         p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file() and p.name != "run_meta.json"
     )
     assert new_files == gold_files
-    gaps = {}
-    for rel in gold_files:
-        gold, new = (gold_dir / rel).read_text(), (tmp_path / rel).read_text()
-        if rel.suffix == ".json":
-            gaps[str(rel)] = _json_gap(json.loads(gold), json.loads(new), str(rel))
-        else:
-            gaps[str(rel)] = _csv_gap(gold, new, str(rel))
-    worst = max(gaps, key=gaps.get)
-    print(f"{command} {config}: largest relative float difference {gaps[worst]:.3g} in {worst}")
-    assert gaps[worst] <= RTOL, f"{worst}: relative float difference {gaps[worst]:.3g} exceeds {RTOL:g}"
+    _assert_match(gold_dir, tmp_path, gold_files, f"{command} {config}")
+
+
+@pytest.mark.parametrize("config", [p.name for p in sorted((GOLDEN / "solve").iterdir())])
+def test_simulate_then_solve_match_golden(tmp_path, config):
+    path = str(ROOT / "configs" / f"{config}.json")
+    assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 0
+    measurements = str(tmp_path / "measurements.csv")
+    assert main(["solve", "--config", path, "--measurements", measurements, "--out", str(tmp_path)]) == 0
+    files = [pathlib.Path("measurements.csv"), pathlib.Path("estimate.json")]
+    _assert_match(GOLDEN / "solve" / config, tmp_path, files, f"simulate, solve {config}")
