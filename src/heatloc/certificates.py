@@ -61,6 +61,10 @@ def _is_finite(v) -> bool:
         return False
 
 
+class _GridTooCoarse(ValueError):
+    """The sample grid of spacing 1/m cannot carry the certificate: a larger m may."""
+
+
 def _check_width(lam) -> None:
     if not (_is_finite(lam) and lam > 0):
         raise ValueError(f"width parameter lam must be a positive finite number, got {lam!r}")
@@ -249,7 +253,7 @@ def build_certificate_g(cfg: CertConfig, p0) -> CertificateApproximation:
     idx_axes = [n0[j] + coeffs.offsets + cfg.m for j in range(cfg.dim)]
     for idx in idx_axes:
         if idx.min() < 0 or idx.max() > 2 * cfg.m:
-            raise ValueError(
+            raise _GridTooCoarse(
                 "candidate grid does not contain the required translates; "
                 "need m >= 4*p_jackson (plus room for p0 away from the center)"
             )
@@ -272,7 +276,7 @@ def calibrated_certificate(cfg: CertConfig, mu0: SparseMeasure, i0: int) -> Cert
     base = build_certificate_g(cfg, mu0.positions[i0])
     anchor = float(np.sum(mu0.amplitudes * np.atleast_1d(base.certificate(mu0.positions))))
     if anchor <= 0:
-        raise ValueError("unit-scale certificate has non-positive anchor; grid too coarse")
+        raise _GridTooCoarse("unit-scale certificate has non-positive anchor; grid too coarse")
     factor = 1.0 / anchor
     cert = DualCertificate(base.certificate.op, base.certificate.weights * factor)
     return CertificateApproximation(cert, base.sup_error * factor, base.coeff_norm)
@@ -460,17 +464,21 @@ def smallest_feasible_m(
     """First m in ``m_values`` whose calibrated certificate is feasible.
 
     The kernel order is ``CertConfig``'s default, max(1, m // 4), and the
-    conditions are verified on its ``mesh_points`` per axis.
+    conditions are verified on its ``mesh_points`` per axis.  An m whose
+    grid is too coarse for the certificate is skipped; a bad argument raises.
     """
+    _check_width(lam)
+    _check_measure(mu0, i0)
+    _check_mesh_points(cert_kwargs.get("mesh_points", CertConfig.mesh_points))
     for m in sorted(m_values):
+        cfg = CertConfig(lam=lam, m=int(m), dim=mu0.dim, **cert_kwargs)
         try:
-            cfg = CertConfig(lam=lam, m=int(m), dim=mu0.dim, **cert_kwargs)
             approx = calibrated_certificate(cfg, mu0, i0)
-            report = verify_soft_conditions(
-                approx.certificate, mu0, i0, lam, coeff_norm=approx.coeff_norm, mesh_points=cfg.mesh_points
-            )
-        except ValueError:
+        except _GridTooCoarse:
             continue
+        report = verify_soft_conditions(
+            approx.certificate, mu0, i0, lam, coeff_norm=approx.coeff_norm, mesh_points=cfg.mesh_points
+        )
         if report.feasible:
             return int(m), report
     return None

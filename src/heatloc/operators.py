@@ -3,7 +3,7 @@
 A measurement is a sample of the diffused field at a spacetime point (x, t).
 The adjoint of the sampling map sends a weight vector to the continuous
 function nu(x) = sum_{(x_s,t)} lambda_{x_s,t} * G(x - x_s, t) -- the dual
-certificate -- which is evaluable anywhere together with its spatial gradient.
+certificate -- evaluable anywhere together with its gradient and Hessian.
 """
 
 from __future__ import annotations
@@ -122,16 +122,7 @@ def certificate_eval(op: MeasurementOperator, lam: np.ndarray, x):
 
 def certificate_gradient(op: MeasurementOperator, lam: np.ndarray, x):
     """Spatial gradient of the certificate: sum_i lam_i * G * (x_i - x) / t_i."""
-    lam = np.asarray(lam)
-    if lam.shape != (op.d,):
-        raise ValueError(f"weight vector has length {lam.shape}, expected ({op.d},)")
-    pts, single = _as_points(x, op.dim)
-    xs, ts = op.samples.xs, op.samples.ts
-    K = kernel_matrix(xs, ts, pts)
-    w = lam / ts
-    # sum_i w_i G (x_i - x) as two matrix-vector products, not a (d, P, dim) array
-    grad = ((w[:, None] * xs).T @ K - (w @ K) * pts.T).T
-    return grad[0] if single else grad
+    return DualCertificate(op, np.array(lam)).derivatives(x)[1]  # a copy: the certificate freezes it
 
 
 @dataclass(frozen=True)
@@ -150,6 +141,31 @@ class DualCertificate:
 
     def __call__(self, x):
         return certificate_eval(self.op, self.weights, x)
+
+    def derivatives(self, x):
+        """nu, grad nu and the Hessian of nu at point(s) x: (n,), (n, dim) and (n, dim, dim) arrays.
+
+        All three in closed form from one kernel matrix K and one (d, n)
+        difference D = x_i - x per axis: grad nu = sum_i w_i K D / t_i and
+        hess nu = sum_i w_i K (D D^T / t_i - I) / t_i.  A single point drops
+        the first axis.
+        """
+        pts, single = _as_points(x, self.op.dim)
+        xs, ts = self.op.samples.xs, self.op.samples.ts
+        K = kernel_matrix(xs, ts, pts)
+        w1 = self.weights / ts
+        w2 = w1 / ts
+        diffs = [np.subtract.outer(c, q) for c, q in zip(xs.T, pts.T)]
+        grad = np.empty(pts.shape)
+        hess = np.empty(pts.shape + pts.shape[1:])
+        for j, D in enumerate(diffs):
+            KD = K * D
+            grad[:, j] = w1 @ KD
+            for k in range(j + 1):
+                hess[:, j, k] = hess[:, k, j] = w2 @ (KD * diffs[k])
+            hess[:, j, j] -= w1 @ K
+        out = self.weights @ K, grad, hess
+        return tuple(a[0] for a in out) if single else out
 
     def gradient_bound(self) -> float:
         """Upper bound on |grad nu| over all of space (sum of per-term maxima)."""

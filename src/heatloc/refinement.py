@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import operators
 from .field import SparseMeasure, _is_count, _is_real, tensor_points
 from .operators import DictionaryMatrix, DualCertificate, MeasurementOperator, build_dictionary
 from .solvers import SolveOutcome, SolverConfig, solve_l1_equality, solve_lasso
@@ -165,14 +164,15 @@ def continuum_gap(certificate: DualCertificate, lo, hi, points, values) -> tuple
     time).  The mesh nodes where |nu| is a local maximum over their 3**dim
     block and the given points, if |nu| is at least ``1 - _START_MARGIN``
     there, start ``_NEWTON_STEPS`` Newton steps toward a maximum of |nu|:
-    the highest of them per mesh node they round to.  The Hessian is a
-    forward difference of ``certificate_gradient`` over 1e-5 kernel widths.
-    Where it is not definite with the sign opposite to nu's, the step is
-    t * grad nu / nu instead, which lands on the peak of a single Gaussian
-    bump; every step is cut to one mesh spacing and clipped to the box.  The
-    gap is the largest |nu| seen, minus 1.  The returned points are the
-    endpoints above ``1 + _GAP_TOL``, highest first, less those within half
-    a mesh spacing of a higher one.
+    the highest of them per mesh node they round to.  Each step takes nu
+    and its gradient and Hessian, in closed form, from
+    :meth:`DualCertificate.derivatives`.  Where the Hessian is not definite
+    with the sign opposite to nu's, the step is t * grad nu / nu instead,
+    which lands on the peak of a single Gaussian bump; every step is cut to
+    one mesh spacing and clipped to the box.  The gap is the largest |nu|
+    seen, minus 1.  The returned points are the endpoints above
+    ``1 + _GAP_TOL``, highest first, less those within half a mesh spacing
+    of a higher one.
     """
     op = certificate.op
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
@@ -198,23 +198,16 @@ def continuum_gap(certificate: DualCertificate, lo, hi, points, values) -> tuple
     order = np.argsort(-np.abs(v), kind="stable")
     cell = np.ravel_multi_index(tuple(np.round((x[order] - lo) / spacing).astype(int).T), n, mode="clip")
     _, first = np.unique(cell, return_index=True)
-    x, v = x[order[first]], v[order[first]]
-    if x.shape[0] == 0:
-        return best - 1.0, x
-    eps = 1e-5 * math.sqrt(t)
-    probe = eps * np.eye(op.dim + 1, op.dim, -1)  # x, then x + eps along each axis
+    x = x[order[first]]
     for _ in range(_NEWTON_STEPS):
-        at = (probe[:, None, :] + x[None, :, :]).reshape(-1, op.dim)
-        grads = operators.certificate_gradient(op, certificate.weights, at).reshape(op.dim + 1, -1, op.dim)
-        g = grads[0]
-        # the Hessian [[a, b], [b, c]] (or [[a]] in 1D) in closed form
-        hess = (grads[1:] - g) / eps
-        a = hess[0, :, 0]
+        v, g, hess = certificate.derivatives(x)
+        # the Newton step -H^-1 grad nu, H = [[a, b], [b, c]] (or [[a]] in 1D), in closed form
+        a = hess[:, 0, 0]
         if op.dim == 1:
             det, adj = a, g
             ok = np.sign(v) * a < 0.0
         else:
-            b, c = 0.5 * (hess[0, :, 1] + hess[1, :, 0]), hess[1, :, 1]
+            b, c = hess[:, 0, 1], hess[:, 1, 1]
             det = a * c - b * b
             adj = np.stack([c * g[:, 0] - b * g[:, 1], a * g[:, 1] - b * g[:, 0]], axis=-1)
             ok = (np.sign(v) * a < 0.0) & (det > 0.0)
@@ -223,7 +216,7 @@ def continuum_gap(certificate: DualCertificate, lo, hi, points, values) -> tuple
         cut = np.min(spacing) / np.maximum(length, np.min(spacing))
         x = np.clip(x + cut[:, None] * step, lo, hi)
     f = np.abs(certificate(x))
-    best = max(best, float(np.max(f)))
+    best = max(best, float(np.max(f, initial=0.0)))
     order = np.argsort(-f, kind="stable")
     x = x[order[f[order] > 1.0 + _GAP_TOL]]
     near = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1) <= (0.5 * np.min(spacing)) ** 2

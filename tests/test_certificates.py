@@ -223,6 +223,33 @@ class TestVerifySoftConditions:
         assert smallest_feasible_m(1 / 16, mu, 0, [4, 8], mesh_points=256) is not None
         assert seen and set(seen) == {256}
 
+    def test_smallest_feasible_m_skips_grids_too_coarse(self):
+        # order 4 needs m >= 16 here: m = 2, 4 and 8 lack the translates
+        mu = SparseMeasure(np.array([[0.21, -0.13]]), [1.0])
+        found = smallest_feasible_m(1 / 16, mu, 0, [8, 2, 16, 4], p_jackson=4, mesh_points=256)
+        assert found is not None and found[0] == 16
+
+    @pytest.mark.parametrize(
+        "lam, i0, m_values, kwargs",
+        [
+            (1 / 16, 0, [4, 8], {"mesh_points": 1}),
+            (-1 / 16, 0, [4, 8], {}),
+            (1 / 16, 1, [4, 8], {}),
+            (-1 / 16, 0, [], {}),
+            (1 / 16, 0, [0, 4], {}),
+        ],
+    )
+    def test_smallest_feasible_m_rejects_bad_arguments(self, lam, i0, m_values, kwargs):
+        mu = SparseMeasure(np.array([[0.21, -0.13]]), [1.0])
+        with pytest.raises(ValueError):
+            smallest_feasible_m(lam, mu, i0, m_values, **kwargs)
+
+    def test_smallest_feasible_m_rejects_an_atom_outside_the_certified_box(self):
+        # p0 must lie in [-1/2, 1/2]^dim for every m: no m can make it feasible
+        mu = SparseMeasure(np.array([[0.7, -0.13]]), [1.0])
+        with pytest.raises(ValueError, match="p0 must lie"):
+            smallest_feasible_m(1 / 16, mu, 0, [4, 8], mesh_points=256)
+
     def test_three_separated_sources(self):
         lam = 0.002  # pairwise separation 0.45 >= 10*sqrt(lam)
         mu = SparseMeasure.from_1d([-0.45, 0.0, 0.45], [1 / 3, 1 / 3, 1 / 3])

@@ -8,9 +8,9 @@ simulate`` and the ``estimate.json`` that ``heatloc solve`` makes of it.  String
 integers, booleans, nulls and the structure of each file must be equal;
 floats must agree to ``RTOL`` relative, or ``ATOL`` absolute where both are
 below it (round-off of order-one quantities, such as a KKT residual of
-1e-15).  The largest difference is printed either way.  To regenerate a
-directory after an intended change of output, run the CLI command on the
-config with ``--out`` at it and delete the files not stored.
+1e-15).  The largest difference is printed either way.  After an intended
+change of output, ``tests/regenerate_golden.py`` rewrites the directories
+named on its command line (see its docstring).
 """
 
 import json

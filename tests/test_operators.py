@@ -120,21 +120,36 @@ class TestCertificate:
             scale = np.linalg.norm(lam) * mu.tv_norm()
             assert abs(lhs - rhs) <= 1e-12 * max(scale, 1.0)
 
-    def test_gradient_against_finite_differences(self):
-        rng = np.random.default_rng(4)
+    @pytest.mark.parametrize("layout", ["grid_1d", "tensor_2d", "two_times_1d"])
+    def test_derivatives_against_finite_differences(self, layout):
+        # the closed-form gradient and Hessian, mixed term included, against
+        # central differences of the value; the two-time set has per-sample t_i
         ax = np.linspace(-1.0, 1.0, 9)
-        op = MeasurementOperator(SampleSet.grid((ax, ax), 0.125))
+        samples = {
+            "grid_1d": SampleSet.grid([ax], 0.125),
+            "tensor_2d": SampleSet.grid((ax, ax), 0.125),
+            "two_times_1d": SampleSet.grid([ax], [0.05, 0.3]),
+        }[layout]
+        op = MeasurementOperator(samples)
+        rng = np.random.default_rng(4)
         lam = rng.standard_normal(op.d)
-        h = 1e-6
-        for _ in range(20):
-            x = rng.uniform(-1, 1, 2)
-            g = certificate_gradient(op, lam, x)
-            fd = np.empty(2)
-            for j in range(2):
-                e = np.zeros(2)
-                e[j] = h
-                fd[j] = (certificate_eval(op, lam, x + e) - certificate_eval(op, lam, x - e)) / (2 * h)
-            assert np.max(np.abs(g - fd)) <= 1e-5 * max(1.0, np.max(np.abs(fd)))
+        x = rng.uniform(-1, 1, (20, op.dim))
+        value, grad, hess = DualCertificate(op, lam).derivatives(x)
+        np.testing.assert_allclose(value, certificate_eval(op, lam, x), rtol=1e-13, atol=1e-13)
+        np.testing.assert_array_equal(certificate_gradient(op, lam, x), grad)
+        np.testing.assert_array_equal(hess, np.swapaxes(hess, 1, 2))
+
+        def nu(*steps):
+            return certificate_eval(op, lam, x + sum(steps))
+
+        h = 1e-4
+        e = h * np.eye(op.dim)
+        for j in range(op.dim):
+            fd = (nu(e[j]) - nu(-e[j])) / (2 * h)
+            assert np.max(np.abs(grad[:, j] - fd)) <= 1e-6 * np.max(np.abs(grad))
+            for k in range(op.dim):
+                fd = (nu(e[j], e[k]) - nu(e[j], -e[k]) - nu(-e[j], e[k]) + nu(-e[j], -e[k])) / (4 * h * h)
+                assert np.max(np.abs(hess[:, j, k] - fd)) <= 1e-5 * np.max(np.abs(hess))
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_mesh_evaluation_matches_direct(self, dim):
